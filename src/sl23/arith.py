@@ -168,32 +168,6 @@ def factor(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
-def factor_value(factors: list[tuple[int, int]]) -> int:
-    """Rebuild the integer from an [(prime, exponent)] list."""
-    n = 1
-    for p, e in factors:
-        n *= p**e
-    return n
-
-
-def multiplicative_order_mod(a: int, r: int) -> int:
-    """Order of a in (Z/rZ)* for gcd(a, r) = 1, r >= 2."""
-    if math.gcd(a, r) != 1:
-        raise ValueError(f"{a} is not a unit modulo {r}")
-    order = r - 1 if is_prime(r) else _totient(r)
-    for p, _ in factor(order):
-        while order % p == 0 and pow(a, order // p, r) == 1:
-            order //= p
-    return order
-
-
-def _totient(r: int) -> int:
-    t = r
-    for p, _ in factor(r):
-        t -= t // p
-    return t
-
-
 def zsigmondy_primes(a: int, k: int) -> list[int]:
     """Primes r dividing a**k - 1 but no a**i - 1 with 0 < i < k, ascending.
 

@@ -18,22 +18,23 @@ little-endian coefficient lists, matrices are row-major lists of rows.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional
 
 from .arith import factor, is_prime, prime_power_decompose
 from .construct import (
-    _SPECIAL,
     build,
     charpoly_from_deltas,
+    coverage,
     deltas_from_min_poly,
     target_order,
 )
 from .ff import Field, make_field
 from .matrix import Mat, RowSpace, check_word, eval_word
 from .meataxe import InconclusiveAfterRetries, Verdict, is_irreducible_module, scan_lines
-from .poly import Poly, WrongShape, is_irreducible, read_degree11
+from .poly import Poly, WrongShape, from_signed_coeffs, is_irreducible, read_degree11
 
 VERSION = "1"
 
@@ -178,10 +179,18 @@ def q_divisibility_scan(q: int) -> tuple[ScanRow, ...]:
 # Serialization helpers.  All integers become decimal strings.
 
 
+_CANONICAL_INT = re.compile("0|[1-9][0-9]*")
+
+
 def _int(s) -> int:
-    if isinstance(s, bool) or not isinstance(s, str) or not s.isdigit():
-        raise ValueError(f"expected a decimal string, got {s!r}")
+    if not isinstance(s, str) or not _CANONICAL_INT.fullmatch(s):
+        raise ValueError(f"expected a canonical decimal string, got {s!r}")
     return int(s)
+
+
+def _keys(section) -> Optional[list]:
+    """The keys of a JSON object in order; None for any other value."""
+    return list(section) if isinstance(section, dict) else None
 
 
 def _field_json(field: Field) -> list:
@@ -253,24 +262,27 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
     field = pair.field
     x, y, z = pair.x, pair.y, pair.z
     ox, oy, oz = x.order(), y.order(), z.order()
-    assert (ox, oy, oz) == (2, 3, pair.Q)
+    if (ox, oy, oz) != (2, 3, pair.Q):
+        raise ArithmeticError(f"orders {ox}, {oy}, {oz}; expected 2, 3, {pair.Q}")
     cp = z.charpoly()
     if pair.tag == "special":
         expected = None
     elif pair.tag == "sl11":
         expected = pair.l
-        assert gcd(6, pair.Q) == 1
+        if gcd(6, pair.Q) != 1:
+            raise ArithmeticError(f"Q = {pair.Q} is not prime to 6")
     else:
         expected = Poly.x_minus(field, field.inv(pair.alphas[-1])) * pair.f
-    if expected is not None:
-        assert cp == expected
+    if expected is not None and cp != expected:
+        raise ArithmeticError("characteristic polynomial of x*y is not the target")
     scan = scan_lines(x, y)
     mx = is_irreducible_module([x, y], seed=seed)
 
     construction: dict = {"tag": pair.tag}
     if pair.tag == "special":
         for w in pair.words:
-            assert eval_word(w.letters, x, y).order() == w.claimed_order
+            if eval_word(w.letters, x, y).order() != w.claimed_order:
+                raise ArithmeticError(f"word {w.letters} does not have order {w.claimed_order}")
         construction["words"] = [
             {"letters": list(w.letters), "order": str(w.claimed_order)}
             for w in pair.words
@@ -340,15 +352,6 @@ def verify(cert) -> VerifyResult:
         return VerifyResult(False, f"malformed certificate ({exc})")
 
 
-def _poly_from_signed(field: Field, signed) -> Poly:
-    d = len(signed)
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    for i, a in enumerate(signed, start=1):
-        coeffs[d - i] = a if i % 2 == 0 else field.neg(a)
-    return Poly(field, coeffs)
-
-
 def _parse_mat(field: Field, rows_json, n: int) -> Mat:
     if not isinstance(rows_json, list) or len(rows_json) != n:
         raise ValueError("matrix row count mismatch")
@@ -361,9 +364,6 @@ def _parse_mat(field: Field, rows_json, n: int) -> Mat:
             raise ValueError("matrix entry out of field range")
         rows.append(parsed)
     return Mat(field, rows)
-
-
-_GENERIC_TAGS = {"generic9": 9, "generic10": 10}
 
 
 def _verify(cert: dict) -> VerifyResult:
@@ -380,23 +380,13 @@ def _verify(cert: dict) -> VerifyResult:
         return no("prime power decomposition")
 
     tag = cert["construction"]["tag"]
-    if tag in _GENERIC_TAGS:
-        if n != _GENERIC_TAGS[tag]:
-            return no("construction tag")
-        if (n == 9 and q in (2, 4)) or (n == 10 and q <= 4):
-            return no("construction tag")
-    elif tag == "special":
-        if (n, q) not in _SPECIAL:
-            return no("construction tag")
-    elif tag == "sl11":
-        if n != 11:
-            return no("construction tag")
-    else:
+    if n not in (9, 10, 11) or tag != coverage(n, q):
         return no("construction tag")
+    generic = tag in ("generic9", "generic10")
 
     keys = ["version", "n", "q", "p", "m", "construction", "field", "matrices",
             "Q", "Q_factors", "orders", "charpoly"]
-    if tag in _GENERIC_TAGS:
+    if generic:
         keys.append("alphas")
     elif tag == "sl11":
         keys.append("deltas")
@@ -404,16 +394,16 @@ def _verify(cert: dict) -> VerifyResult:
     if tag == "sl11":
         keys.append("maxsub_scan")
     keys += ["assumptions", "seed"]
-    if list(cert.keys()) != keys:
+    if _keys(cert) != keys:
         return no("schema key order")
     ckeys = ["tag", "words", "prime_pair"] if tag == "special" else ["tag"]
-    if list(cert["construction"].keys()) != ckeys:
+    if _keys(cert["construction"]) != ckeys:
         return no("construction shape")
-    if list(cert["matrices"].keys()) != ["x", "y"]:
+    if _keys(cert["matrices"]) != ["x", "y"]:
         return no("schema key order")
-    if list(cert["orders"].keys()) != ["x", "y", "z"]:
+    if _keys(cert["orders"]) != ["x", "y", "z"]:
         return no("schema key order")
-    if list(cert["charpoly"].keys()) != ["z", "expected"]:
+    if _keys(cert["charpoly"]) != ["z", "expected"]:
         return no("schema key order")
 
     fd = cert["field"]
@@ -447,7 +437,7 @@ def _verify(cert: dict) -> VerifyResult:
     if prod(r**e for r, e in fs) != Q:
         return no("Q factorization")
 
-    if tag in _GENERIC_TAGS and Q != target_order(n, q):
+    if generic and Q != target_order(n, q):
         return no("Q value")
     if tag == "sl11":
         if Q != (q**11 - 1) // (q - 1):
@@ -459,11 +449,11 @@ def _verify(cert: dict) -> VerifyResult:
     if cert["charpoly"]["z"] != _poly_json(cp):
         return no("characteristic polynomial")
     exp_json = cert["charpoly"]["expected"]
-    if tag in _GENERIC_TAGS:
+    if generic:
         alphas = [_int(a) for a in cert["alphas"]]
         if len(alphas) != n - 1 or any(a >= field.order for a in alphas):
             return no("alpha list")
-        f = _poly_from_signed(field, alphas)
+        f = from_signed_coeffs(field, alphas)
         if not is_irreducible(f):
             return no("irreducibility of f")
         expected = Poly.x_minus(field, field.inv(alphas[-1])) * f
@@ -498,8 +488,7 @@ def _verify(cert: dict) -> VerifyResult:
             return no("expected charpoly")
 
     irr = cert["irreducibility"]
-    ikeys = list(irr.keys())
-    if ikeys not in (["scan", "meataxe", "seed"],
+    if _keys(irr) not in (["scan", "meataxe", "seed"],
                      ["scan", "meataxe", "seed", "witness"]):
         return no("schema key order")
     seed = _int(irr["seed"])

@@ -66,7 +66,6 @@ class GenPair:
     f: Optional[Poly] = None
     deltas: Optional[tuple[int, ...]] = None
     l: Optional[Poly] = None
-    l_coeffs: Optional[tuple[int, ...]] = None
     words: tuple[Witness, ...] = ()
     coprime_claim: Optional[tuple[int, int]] = None
 
@@ -175,7 +174,7 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     """
     if n not in (9, 10):
         raise UnsupportedN(f"generic construction covers n = 9 and 10, not {n}")
-    excluded = (n == 9 and q in (2, 4)) or (n == 10 and q <= 4)
+    excluded = coverage(n, q) != f"generic{n}"
     if excluded and not unchecked:
         if n == 9:
             raise OutOfRange("n = 9 needs q outside {2, 4}")
@@ -196,11 +195,13 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     last = alphas[-1]
     # sanity anchors for the trailing coefficient's multiplicative order
     if q == 3 and not excluded:
-        assert last == 1
+        anchored = last == 1
     elif q == 7:
-        assert last != 1 and small.pow(last, 3) == 1
+        anchored = last != 1 and small.pow(last, 3) == 1
     else:
-        assert multiplicative_order(small, last, factor(q - 1)) == q - 1
+        anchored = multiplicative_order(small, last, factor(q - 1)) == q - 1
+    if not anchored:
+        raise ArithmeticError(f"trailing coefficient {last} has the wrong order")  # unreachable
     r = small.inv(last)
     symbols = {"r": r}
     for i, a in enumerate(alphas, start=1):
@@ -505,17 +506,31 @@ def build_sl11(q: int) -> GenPair:
     return GenPair(
         n=11, q=q, field=small, x=x, y=y, z=x * y,
         tag="sl11", Q=Q, Q_factors=Qf,
-        deltas=deltas, l=l, l_coeffs=ten,
+        deltas=deltas, l=l,
     )
+
+
+def coverage(n: int, q: int) -> str:
+    """Tag of the construction that covers (n, q) for a prime power q.
+
+    "sl11" for n = 11, "special" for the five hard-coded pairs, else
+    "generic9" or "generic10".  The generic construction's excluded q
+    (q in {2, 4} for n = 9, q <= 4 for n = 10) are exactly the hard-coded
+    ones.
+    """
+    if n == 11:
+        return "sl11"
+    if n not in (9, 10):
+        raise UnsupportedN(f"no construction for dimension {n}")
+    return "special" if (n, q) in _SPECIAL else f"generic{n}"
 
 
 @lru_cache(maxsize=None)
 def build(n: int, q: int) -> GenPair:
     """Dispatch to the construction that covers (n, q)."""
-    if n == 11:
+    tag = coverage(n, q)
+    if tag == "sl11":
         return build_sl11(q)
-    if n in (9, 10):
-        if (n, q) in _SPECIAL:
-            return build_special(n, q)
-        return build_generic(n, q)
-    raise UnsupportedN(f"no construction for dimension {n}")
+    if tag == "special":
+        return build_special(n, q)
+    return build_generic(n, q)

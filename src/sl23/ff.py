@@ -9,12 +9,14 @@ whole construction reproducible: two runs (or two implementations) agree
 on every field, every embedding and every canonical element of given
 order.
 
-Internally three arithmetic strategies are used.  Characteristic-2 fields
-pack coefficients into int bitmasks (multiplication is carry-less), odd
-extension fields use little-endian digit tuples, and any extension field
-with at most _TABLE_MAX elements additionally precomputes full
-multiplication and inversion tables since those fields carry all of the
-matrix work.
+Multiplication takes one of three paths.  Prime fields reduce integers
+mod p, characteristic-2 extensions pack coefficients into int bitmasks
+(multiplication is carry-less), and odd extensions use little-endian
+digit tuples.  Any extension field with at most _TABLE_MAX elements
+also precomputes full multiplication and inversion tables, since those
+fields carry all of the matrix work; in the larger fields inversion is
+Fermat's a**(p**k - 2).  There is no polynomial code here: defining
+polynomials are searched with poly.is_irreducible over the prime field.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 from typing import Iterable, Sequence
 
 from .arith import factor, is_prime
+from .poly import Poly, is_irreducible
 
 _TABLE_MAX = 256
 
@@ -65,30 +68,6 @@ def _gf2_mod(a: int, m: int) -> int:
         a ^= m << sh
 
 
-def _gf2_divmod(a: int, b: int) -> tuple[int, int]:
-    db = b.bit_length() - 1
-    q = 0
-    while a and a.bit_length() - 1 >= db:
-        sh = a.bit_length() - 1 - db
-        q ^= 1 << sh
-        a ^= b << sh
-    return q, a
-
-
-def _gf2_inv(a: int, m: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0")
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _gf2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _gf2_mul_raw(q, s1)
-    if r0 != 1:
-        raise ZeroDivisionError("element not invertible")
-    return s0
-
-
 # ---------------------------------------------------------------------------
 # GF(p)[t] for odd p on little-endian digit tuples of fixed length k.
 
@@ -107,53 +86,6 @@ def _vec_mul(a: Sequence[int], b: Sequence[int], p: int, mod: Sequence[int], k: 
                 prod[base + j] -= c * mod[j]
         prod[i] = 0
     return tuple(c % p for c in prod[:k])
-
-
-def _vec_poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    db = len(b) - 1
-    inv_lead = pow(b[db], p - 2, p)
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv_lead % p
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    while len(a) > 1 and a[-1] % p == 0:
-        a.pop()
-    return q, [c % p for c in a]
-
-
-def _vec_inv(a: Sequence[int], p: int, mod: Sequence[int]) -> tuple[int, ...]:
-    k = len(mod) - 1
-    r0 = [c % p for c in mod]
-    r1 = [c % p for c in a]
-    while len(r1) > 1 and r1[-1] == 0:
-        r1.pop()
-    if r1 == [0]:
-        raise ZeroDivisionError("inverse of 0")
-    s0, s1 = [0], [1]
-    while r1 != [0]:
-        q, r = _vec_poly_divmod(r0, r1, p)
-        # s0 - q*s1
-        qs = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] += qi * sj
-        ns = [0] * max(len(s0), len(qs))
-        for i in range(len(ns)):
-            v = (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
-            ns[i] = v % p
-        r0, r1, s0, s1 = r1, r, s1, ns
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible")
-    lead_inv = pow(r0[0], p - 2, p)
-    out = [c * lead_inv % p for c in s0]
-    out += [0] * (k - len(out))
-    return tuple(out[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +146,6 @@ class Field:
             v += (c % self.p) * self.p**i
         return v
 
-    def element(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element code of {self!r}")
-        return a
-
     def scalar(self, c: int) -> int:
         """The image of the integer c under Z -> GF(p) -> this field."""
         return c % self.p
@@ -240,13 +167,12 @@ class Field:
             self.sub = self.add
             self.neg = lambda a: a
             self.mul = self._mul_gf2
-            self.inv = self._inv_gf2
         else:
             self.add = self._add_digits
             self.sub = self._sub_digits
             self.neg = self._neg_digits
             self.mul = self._mul_digits
-            self.inv = self._inv_digits
+        self.inv = self._inv_fermat
         if self.order <= _TABLE_MAX:
             n = self.order
             mul = self.mul
@@ -272,6 +198,11 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
+    def _inv_fermat(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.order - 2)
+
     def _inv_table_lookup(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -279,9 +210,6 @@ class Field:
 
     def _mul_gf2(self, a, b):
         return _gf2_mod(_gf2_mul_raw(a, b), self._modbits)
-
-    def _inv_gf2(self, a):
-        return _gf2_inv(a, self._modbits)
 
     def _add_digits(self, a, b):
         return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
@@ -296,9 +224,6 @@ class Field:
         return self.encode(
             _vec_mul(self.coeffs(a), self.coeffs(b), self.p, self.modulus, self.k)
         )
-
-    def _inv_digits(self, a):
-        return self.encode(_vec_inv(self.coeffs(a), self.p, self.modulus))
 
     # dot products carry the inner loops of all matrix code
     def _dot_prime(self, xs, ys):
@@ -344,85 +269,8 @@ class Field:
 # Deterministic defining polynomials.
 #
 # Candidates of degree k are scanned in lexicographic order of the tuple
-# (c_0, c_1, ..., c_{k-1}) of non-leading coefficients, and the first
-# irreducible one wins.  Irreducibility here is the Rabin condition checked
-# directly on raw coefficient data (the generic polynomial layer is built
-# on top of fields, not under them).
-
-def _gf2_pow_mod(a: int, e: int, m: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf2_mod(_gf2_mul_raw(r, a), m)
-        a = _gf2_mod(_gf2_mul_raw(a, a), m)
-        e >>= 1
-    return r
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_divmod(a, b)[1]
-    return a
-
-
-def _gf2_irreducible(f: int, k: int) -> bool:
-    if f & 1 == 0:
-        return False  # divisible by t
-    u = 2  # the polynomial t
-    checkpoints = {k // r for r, _ in factor(k)}
-    for i in range(1, k + 1):
-        u = _gf2_mod(_gf2_mul_raw(u, u), f)
-        if i in checkpoints and i < k:
-            if _gf2_gcd(u ^ 2, f) != 1:
-                return False
-    return u == 2
-
-
-def _vec_pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    r = [1]
-    while e:
-        if e & 1:
-            r = _vec_polymul_mod(r, a, m, p)
-        a = _vec_polymul_mod(a, a, m, p)
-        e >>= 1
-    return r
-
-
-def _vec_polymul_mod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    prod = [c % p for c in prod]
-    _, r = _vec_poly_divmod(prod, m, p)
-    return r
-
-
-def _vec_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b != [0]:
-        _, r = _vec_poly_divmod(a, b, p)
-        a, b = b, r
-    return a
-
-
-def _gfp_irreducible(coeffs: list[int], p: int) -> bool:
-    k = len(coeffs) - 1
-    if coeffs[0] == 0:
-        return False
-    u = [0, 1]  # the polynomial t
-    checkpoints = {k // r for r, _ in factor(k)}
-    for i in range(1, k + 1):
-        u = _vec_pow_mod(u, p, coeffs, p)
-        if i in checkpoints and i < k:
-            d = u + [0] * (2 - len(u))
-            d[1] = (d[1] - 1) % p
-            while len(d) > 1 and d[-1] == 0:
-                d.pop()
-            if len(_vec_gcd(coeffs[:], d, p)) > 1:
-                return False
-    return u == [0, 1]
-
+# (c_0, c_1, ..., c_{k-1}) of non-leading coefficients, and the first one
+# that poly.is_irreducible accepts over the prime field wins.
 
 def _defining_poly(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest (low-degree-first) monic irreducible.
@@ -433,21 +281,11 @@ def _defining_poly(p: int, k: int) -> tuple[int, ...]:
     """
     if k == 1:
         return (0, 1)  # the polynomial t: GF(p) is GF(p)[t]/(t)
-    if p == 2:
-        for v in range(1 << (k - 1)):
-            # v's bits fill c_1 .. c_{k-1} high position first, keeping
-            # the low-degree-first lexicographic order
-            f = (1 << k) | 1
-            for i in range(1, k):
-                if v >> (k - 1 - i) & 1:
-                    f |= 1 << i
-            if _gf2_irreducible(f, k):
-                return tuple(f >> i & 1 for i in range(k + 1))
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
+    prime = make_field(p, 1)
     counters = [1] + [0] * (k - 1)
     while True:
         coeffs = counters + [1]
-        if _gfp_irreducible(coeffs, p):
+        if is_irreducible(Poly(prime, coeffs)):
             return tuple(coeffs)
         # odometer increment, last coefficient fastest
         i = k - 1

@@ -101,7 +101,8 @@ def _assert_invariant(basis: Sequence[Sequence[int]], gens: Sequence[Mat]) -> No
         space.add(v)
     for v in basis:
         for g in gens:
-            assert space.contains(g.apply(v)), "witness subspace is not invariant"
+            if not space.contains(g.apply(v)):
+                raise ArithmeticError("witness subspace is not invariant")  # unreachable
 
 
 def scan_lines(x: Mat, y: Mat) -> Verdict:

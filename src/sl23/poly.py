@@ -3,16 +3,21 @@
 A Poly is immutable: coeffs is a tuple with no trailing zeros, so the zero
 polynomial has coeffs == () and degree -1.  Only the operations the rest
 of the package needs live here (ring arithmetic, gcd, modular powers,
-irreducibility, minimal polynomials over a subfield, and the signed
-coefficient reading used by the generator constructions); full
+Ben-Or's irreducibility test, minimal polynomials over a subfield, and the
+signed coefficient reading used by the generator constructions); full
 factorization deliberately does not.
+
+This is the package's only polynomial code: ff.py finds each field's
+defining polynomial with is_irreducible over the prime field, so the
+Field and Embedding types are needed here for annotations only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .ff import Embedding, Field
+if TYPE_CHECKING:
+    from .ff import Embedding, Field
 
 
 class NotMonic(ValueError):
@@ -173,13 +178,6 @@ class Poly:
             acc = f.add(f.mul(acc, a), c)
         return acc
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(f.mul(self.coeffs[i], f.scalar(i)))
-        return Poly(f, out)
-
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")
@@ -188,8 +186,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base % mod
-            base = base * base % mod
             e >>= 1
+            if e:
+                base = base * base % mod
         return result
 
     def gcd(self, other: "Poly") -> "Poly":
@@ -202,31 +201,27 @@ class Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over the coefficient field.
+    """Ben-Or's irreducibility test over the coefficient field.
 
-    f of degree d over GF(Q) is irreducible iff t**(Q**d) == t mod f and
-    gcd(t**(Q**(d/r)) - t, f) == 1 for every prime r dividing d.
+    f of degree d over GF(Q) is irreducible iff gcd(t**(Q**i) - t, f) == 1
+    for every 1 <= i <= d/2: a reducible f has an irreducible factor of
+    some degree i <= d/2, and that factor divides t**(Q**i) - t.  Since
+    most candidates of a search have a small factor, the loop usually
+    stops after a few rounds.
     """
     if not f.is_monic:
         raise NotMonic(f"irreducibility requires a monic polynomial, got {f!r}")
     d = f.degree
     if d < 1:
         raise WrongShape("constant polynomials are neither")
-    if d == 1:
-        return True
-    from .arith import factor  # local: arith has no poly dependency
-
-    field = f.field
-    order = field.order
-    x = Poly.x(field)
-    checkpoints = {d // r for r, _ in factor(d)}
+    order = f.field.order
+    x = Poly.x(f.field)
     u = x % f
-    for i in range(1, d + 1):
+    for _ in range(d // 2):
         u = u.pow_mod(order, f)
-        if i < d and i in checkpoints:
-            if f.gcd(u - x).degree != 0:
-                return False
-    return u == x % f
+        if f.gcd(u - x).degree != 0:
+            return False
+    return True
 
 
 def minimal_polynomial(w: int, e: Embedding) -> Poly:
@@ -281,22 +276,12 @@ def from_signed_coeffs(field: Field, signed: Sequence[int]) -> Poly:
     return Poly(field, coeffs)
 
 
-def expand_degree11(field: Field, ten: Sequence[int]) -> Poly:
-    """The monic degree-11 polynomial with alternating signed coefficients
-    ten = (a, b, c, d, e, f, g, h, k, m) and constant term -1:
-
-        t^11 - a t^10 + b t^9 - c t^8 + d t^7 - e t^6
-             + f t^5 - g t^4 + h t^3 - k t^2 + m t - 1
-    """
-    if len(ten) != 10:
-        raise WrongShape(f"need exactly 10 coefficients, got {len(ten)}")
-    return from_signed_coeffs(field, list(ten) + [field.scalar(1)])
-
-
 def read_degree11(l: Poly) -> tuple[int, ...]:
-    """Recover the ten signed coefficients from a polynomial of the
-    expand_degree11 shape; WrongShape if l is not monic of degree 11 with
-    constant term -1."""
+    """Recover the ten signed coefficients (a, b, ..., m) of
+
+        l = t^11 - a t^10 + b t^9 - ... + m t - 1;
+
+    WrongShape if l is not monic of degree 11 with constant term -1."""
     if not l.is_monic or l.degree != 11:
         raise WrongShape(f"expected a monic degree-11 polynomial, got {l!r}")
     signed = signed_coeffs(l)

@@ -7,6 +7,10 @@ with a meaningful failed-claim name.
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
@@ -237,6 +241,50 @@ def test_malformed_certificates(base):
 def test_tamper_construction_tag(base):
     r = tampered(base, ("construction", "tag"), "special")
     assert not r.ok
+
+
+@pytest.mark.parametrize("value", ["junk", ["junk"], 7, None])
+@pytest.mark.parametrize(
+    "section", ["construction", "matrices", "orders", "charpoly", "irreducibility"]
+)
+def test_wrong_type_section_is_rejected(base, section, value):
+    r = tampered(base, (section,), value)
+    assert isinstance(r, VerifyResult)
+    assert not r.ok
+
+
+def test_non_canonical_integers_are_rejected(c11):
+    # "٢" is ARABIC-INDIC DIGIT TWO: str.isdigit accepts it and int() reads 2
+    assert tampered(c11, ("q",), "\u0662") == VerifyResult(
+        False, "malformed certificate (expected a canonical decimal string, got '٢')"
+    )
+    c = copy.deepcopy(c11)
+    assert c["seed"] == c["irreducibility"]["seed"] == "0"
+    c["seed"] = c["irreducibility"]["seed"] = "00"
+    assert not verify(c).ok
+    for bad in ("+2", " 2", "2\n", "0x2", "-0", "", "2.0"):
+        assert not tampered(c11, ("q",), bad).ok, bad
+
+
+def test_certify_checks_survive_python_O():
+    # python -O strips assert statements; certify must still refuse a pair
+    # whose recorded Q is not the order of x*y
+    src = os.path.dirname(os.path.dirname(sys.modules["sl23.certify"].__file__))
+    script = textwrap.dedent("""
+        import dataclasses
+        from sl23 import certify as C
+        pair = C.build(9, 3)
+        C.build = lambda n, q: dataclasses.replace(pair, Q=pair.Q + 1)
+        try:
+            C.certify(9, 3)
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit("certify returned a certificate for a wrong Q")
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # --- assumption strings ---------------------------------------------------------

@@ -73,6 +73,19 @@ def test_verify_tampered(tmp_path, capsys):
     assert out.startswith("FAILED:")
 
 
+@pytest.mark.parametrize("section", ["charpoly", "matrices", "orders", "irreducibility"])
+def test_verify_wrong_type_section(tmp_path, capsys, section):
+    path = tmp_path / "c.json"
+    rc, _, _ = run(capsys, "certify", "--n", "9", "--q", "3", "--out", str(path))
+    assert rc == 0
+    cert = json.loads(path.read_text())
+    cert[section] = "junk"
+    path.write_text(json.dumps(cert))
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 1
+    assert out.startswith("FAILED:")
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/nonexistent/cert.json")
     assert rc == 3

@@ -27,7 +27,7 @@ from sl23.construct import (
 )
 from sl23.ff import make_field
 from sl23.matrix import eval_word
-from sl23.poly import Poly, is_irreducible
+from sl23.poly import Poly, is_irreducible, read_degree11
 
 GENERIC9_Q = [3, 5, 7, 8, 9, 11, 13, 16]
 GENERIC10_Q = [5, 7, 8, 9, 11, 13, 16]
@@ -217,7 +217,7 @@ def test_sl11(q):
     cp = pair.z.charpoly()
     assert cp == pair.l
     assert cp == charpoly_from_deltas(pair.field, pair.deltas)
-    assert pair.deltas == deltas_from_min_poly(pair.field, pair.l_coeffs)
+    assert pair.deltas == deltas_from_min_poly(pair.field, read_degree11(pair.l))
     assert len(pair.deltas) == 10
 
 

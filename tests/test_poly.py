@@ -1,5 +1,6 @@
 """Polynomial ring over finite fields: arithmetic, irreducibility, codings."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from sl23.poly import (
     NotMonic,
     Poly,
     WrongShape,
-    expand_degree11,
     from_signed_coeffs,
     is_irreducible,
     minimal_polynomial,
@@ -109,16 +109,12 @@ def test_pow_mod_matches_naive():
         assert base.pow_mod(e, mod) == naive
 
 
-def test_evaluate_and_derivative():
+def test_evaluate():
     field = make_field(7, 1)
     f = Poly(field, [3, 0, 2, 1])  # t^3 + 2 t^2 + 3
     assert f.evaluate(0) == 3
     assert f.evaluate(1) == (1 + 2 + 3) % 7
     assert f.evaluate(2) == (8 + 8 + 3) % 7
-    assert f.derivative() == Poly(field, [0, 4, 3])
-    # char divides exponent: derivative kills t^7
-    g = Poly(field, [0] * 7 + [1])
-    assert g.derivative().is_zero
 
 
 def test_is_irreducible_known_cases():
@@ -157,6 +153,33 @@ def test_is_irreducible_extension_field():
             if is_irreducible(Poly(field, [c, b, 1])):
                 hits += 1
     assert hits == 6
+
+
+def mobius(n):
+    mu, r = 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            n //= r
+            if n % r == 0:
+                return 0
+            mu = -mu
+        r += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("p,k,max_degree", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
+def test_is_irreducible_counts_every_monic_polynomial(p, k, max_degree):
+    # Gauss: GF(q) has (1/d) * sum over e | d of mu(e) q^(d/e) monic
+    # irreducibles of degree d
+    field = make_field(p, k)
+    q = field.order
+    for d in range(1, max_degree + 1):
+        expected = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        hits = sum(
+            is_irreducible(Poly(field, low + (1,)))
+            for low in itertools.product(range(q), repeat=d)
+        )
+        assert hits == expected, (q, d)
 
 
 def test_minimal_polynomial():
@@ -207,13 +230,11 @@ def test_degree11_coding():
     rng = random.Random(311)
     for _ in range(100):
         ten = tuple(rng.randrange(3) for _ in range(10))
-        l = expand_degree11(field, ten)
+        l = from_signed_coeffs(field, list(ten) + [1])
         assert l.is_monic
         assert l.degree == 11
         assert l[0] == field.neg(1)
         assert read_degree11(l) == ten
-    with pytest.raises(WrongShape):
-        expand_degree11(field, (0,) * 9)
     with pytest.raises(WrongShape):
         read_degree11(Poly.x(field))
     # wrong constant term
