@@ -7,7 +7,7 @@ order divisibility.
 
 __version__ = "0.1.0"
 
-from . import arith, certify, cli, construct, ff, matrix, meataxe, poly
+from . import arith, certify, construct, ff, matrix, meataxe, poly
 
 __all__ = [
     "arith",

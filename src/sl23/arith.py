@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: primality, factoring, primitive prime divisors.
+"""Exact integer arithmetic: primality, factoring, primitive prime divisors,
+element orders.
 
 Everything here is deterministic.  Primality uses Miller-Rabin with a fixed
 witness set that is known to be exact below 3.3 * 10**24; factoring uses
@@ -12,10 +13,15 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 
 class NotPrimePower(ValueError):
     """Raised when an integer is not of the form p**m with p prime, m >= 1."""
+
+
+class NotAnnihilated(ArithmeticError):
+    """Raised when an element's stated order bound fails to annihilate it."""
 
 
 # Exact witness sets for deterministic Miller-Rabin, from the published
@@ -184,6 +190,18 @@ def zsigmondy_primes(a: int, k: int) -> list[int]:
         if all(pow(a, k // s, r) != 1 for s, _ in factor(k)):
             out.append(r)
     return out
+
+
+def order_from_bound(is_one: Callable[[int], bool], bound_factors) -> int:
+    """Exact order of an element from the factors of a multiple N of it;
+    is_one(e) says whether its e-th power is 1 (NotAnnihilated if not at N)."""
+    order = math.prod(r**e for r, e in bound_factors)
+    if not is_one(order):
+        raise NotAnnihilated(f"the stated bound {order} does not annihilate")
+    for r, _ in bound_factors:
+        while order % r == 0 and is_one(order // r):
+            order //= r
+    return order
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:

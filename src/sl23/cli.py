@@ -10,7 +10,6 @@ or unsupported input, 3 I/O trouble.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Optional, Sequence
@@ -67,11 +66,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        cert = loads(text)
-    except json.JSONDecodeError as exc:
+        with open(args.path, "r", encoding="utf-8") as fh:
+            cert = loads(fh.read())
+    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
         print(f"FAILED: not valid JSON ({exc})")
         return 1
     result = verify(cert)
@@ -134,13 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, out=True):
+    def common(p):
         p.add_argument("--n", type=int, required=True, choices=(9, 10, 11))
         p.add_argument("--q", type=int, required=True)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gen", help="print the generator pair")
     common(p)

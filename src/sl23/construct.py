@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .arith import factor, prime_power_decompose
-from .ff import Field, element_of_order, embed, make_field, multiplicative_order
+from .arith import factor, order_from_bound, prime_power_decompose
+from .ff import Field, element_of_order, embed, make_field
 from .matrix import Mat
 from .poly import Poly, minimal_polynomial, read_degree11, signed_coeffs
 
@@ -199,7 +199,7 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     elif q == 7:
         anchored = last != 1 and small.pow(last, 3) == 1
     else:
-        anchored = multiplicative_order(small, last, factor(q - 1)) == q - 1
+        anchored = order_from_bound(lambda e: small.pow(last, e) == 1, factor(q - 1)) == q - 1
     if not anchored:
         raise ArithmeticError(f"trailing coefficient {last} has the wrong order")  # unreachable
     r = small.inv(last)

@@ -99,7 +99,7 @@ class Field:
     """
 
     __slots__ = (
-        "p", "k", "order", "modulus", "_modbits", "_mul_table", "_inv_table",
+        "p", "k", "order", "modulus", "_modbits", "_inv_table",
         "add", "sub", "neg", "mul", "inv", "dot",
     )
 
@@ -109,7 +109,6 @@ class Field:
         self.order = p**k
         self.modulus = modulus  # little-endian, length k+1, monic
         self._modbits = None
-        self._mul_table = None
         self._inv_table = None
         if p == 2:
             self._modbits = sum(c << i for i, c in enumerate(modulus))
@@ -177,15 +176,7 @@ class Field:
             n = self.order
             mul = self.mul
             table = [[mul(a, b) for b in range(n)] for a in range(n)]
-            self._mul_table = table
-            inv_t = [0] * n
-            for a in range(1, n):
-                row = table[a]
-                for b in range(1, n):
-                    if row[b] == 1:
-                        inv_t[a] = b
-                        break
-            self._inv_table = inv_t
+            self._inv_table = [0] + [table[a].index(1) for a in range(1, n)]
             self.mul = lambda a, b: table[a][b]
             self.inv = self._inv_table_lookup
         if p == 2:
@@ -310,30 +301,6 @@ def make_field(p: int, k: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-
-class NotAnnihilated(ValueError):
-    """Raised when an element's stated order bound fails to annihilate it."""
-
-
-def multiplicative_order(field: Field, a: int, bound_factors: list[tuple[int, int]]) -> int:
-    """Exact order of a in the multiplicative group, given a factored bound.
-
-    bound_factors must be the factorization of some multiple N of the true
-    order; NotAnnihilated is raised when a**N != 1.
-    """
-    n = 1
-    for r, e in bound_factors:
-        n *= r**e
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative order")
-    if field.pow(a, n) != 1:
-        raise NotAnnihilated(f"element is not annihilated by the stated bound {n}")
-    order = n
-    for r, _ in bound_factors:
-        while order % r == 0 and field.pow(a, order // r) == 1:
-            order //= r
-    return order
-
 
 def element_of_order(field: Field, q_ord: int, q_factors: list[tuple[int, int]]) -> int:
     """The canonical element of exact order q_ord in GF(p**k)*.

@@ -1,8 +1,9 @@
 """Exact dense matrices over a Field, plus the linear algebra the package
 needs: determinants, characteristic polynomials (Hessenberg reduction, no
-fractions ever leave the field), exact element orders in GL_n, kernels,
-incremental row spaces for spinning, and evaluation of words in two
-generators.
+fractions ever leave the field), minimal polynomials by spinning unit
+vectors, exact element orders in GL_n as orders of t modulo the minimal
+polynomial (Celler & Leedham-Green 1997), kernels, incremental row spaces
+for spinning, and evaluation of words in two generators.
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .arith import factor
+from .arith import factor, order_from_bound
 from .ff import Field
 from .poly import Poly
 
@@ -168,36 +169,40 @@ class Mat:
             polys.append(acc)
         return polys[n]
 
-    def order(self) -> int:
-        """Exact multiplicative order; Singular if not invertible.
+    def minpoly(self) -> Poly:
+        """lcm of the local minimal polynomials of all unit vectors e_i (one
+        alone may give a proper divisor).  A**k e_i is reduced in a RowSpace
+        of [vector | t**k]; a zero vector part leaves e_i's polynomial."""
+        f, n = self.field, self.n
+        m, units = Poly.constant(f, 1), Mat.identity(f, n + 1).rows
+        for i in range(n):
+            space, v = RowSpace(f, 2 * n + 1), units[i][:n]
+            for k in range(n + 1):
+                space.add(v + units[k])
+                if space.pivots[-1] >= n:
+                    break
+                v = self.apply(v)
+            g = Poly(f, space.echelon[-1][n:]).monic()
+            m = m * (g // m.gcd(g))
+            if m.degree == n:
+                break
+        return m
 
-        The order bound comes from the degrees of the irreducible factors
-        of the characteristic polynomial: it divides
-        p**ceil(log_p n) * lcm(q**d - 1 for each factor degree d).
-        """
-        f = self.field
-        cp = self.charpoly()
-        if cp.evaluate(0) == 0:
+    def order(self) -> int:
+        """Exact multiplicative order: that of t mod m_A; Singular if not
+        invertible.  It divides p**ceil(log_p n) * lcm(q**d - 1) over the
+        degrees d of the irreducible factors of m_A (those of the charpoly)."""
+        f, m = self.field, self.minpoly()
+        if m[0] == 0:
             raise Singular("zero determinant, no multiplicative order")
-        degrees = {d for d, _ in factor_degree_components(cp)}
-        bound_factors: dict[int, int] = {}
-        for d in degrees:
+        bound = {f.p: 1}
+        while f.p ** bound[f.p] < self.n:
+            bound[f.p] += 1
+        for d, _ in factor_degree_components(m):
             for r, e in factor(f.order**d - 1):
-                bound_factors[r] = max(bound_factors.get(r, 0), e)
-        nilp = 1
-        while f.p**nilp < self.n:
-            nilp += 1
-        bound_factors[f.p] = max(bound_factors.get(f.p, 0), nilp)
-        bound = 1
-        for r, e in bound_factors.items():
-            bound *= r**e
-        if not (self**bound).is_identity:
-            raise ArithmeticError("order bound failed to annihilate")  # unreachable
-        order = bound
-        for r in bound_factors:
-            while order % r == 0 and (self ** (order // r)).is_identity:
-                order //= r
-        return order
+                bound[r] = max(bound.get(r, 0), e)
+        t = Poly.x(f)
+        return order_from_bound(lambda e: t.pow_mod(e, m).coeffs == (1,), bound.items())
 
 
 def factor_degree_components(cp: Poly) -> list[tuple[int, Poly]]:

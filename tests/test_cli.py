@@ -1,9 +1,13 @@
 """Command line interface: output shapes, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sl23
 from sl23.certify import loads, verify
 from sl23.cli import main
 
@@ -98,6 +102,32 @@ def test_verify_invalid_json(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", str(path))
     assert rc == 1
     assert out.startswith("FAILED: not valid JSON")
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"1" * 5000])
+def test_verify_undecodable_file(tmp_path, capsys, data):
+    # bytes that are not UTF-8, and an integer past Python's digit limit
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 1
+    assert out.startswith("FAILED: not valid JSON (")
+    assert err == ""
+
+
+def test_module_entry_point_does_not_warn(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    src = os.path.dirname(os.path.dirname(sl23.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sl23.cli",
+         "verify", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == "FAILED: version\n"
+    assert done.stderr == ""
 
 
 def test_maxsub_output(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sl23.arith import factor
 from sl23.ff import make_field
 from sl23.matrix import (
     Mat,
@@ -110,6 +111,111 @@ def test_order_rejects_singular():
     f3 = make_field(3, 1)
     with pytest.raises(Singular):
         Mat(f3, [[1, 2], [2, 1]]).order()
+
+
+def companion(f, coeffs):
+    """Companion matrix of the monic t**n + coeffs[n-1] t**(n-1) + ... + coeffs[0]."""
+    n = len(coeffs)
+    return Mat(f, [[1 if j == i - 1 else 0 for j in range(n - 1)] + [f.neg(coeffs[i])]
+                   for i in range(n)])
+
+
+def block_diag(a, b):
+    n = a.n + b.n
+    rows = [list(r) + [0] * b.n for r in a.rows] + [[0] * a.n + list(r) for r in b.rows]
+    return Mat(a.field, rows)
+
+
+def jordan_one(f, n):
+    return Mat(f, [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+
+
+def assert_exact_order(m, o):
+    """The __pow__ oracle: m**o = I and m**(o/r) != I for each prime r | o."""
+    assert (m**o).is_identity
+    for r, _ in factor(o):
+        assert not (m ** (o // r)).is_identity, (o, r)
+
+
+def test_order_against_power_oracle():
+    rng = random.Random(2027)
+    fields = [make_field(2, 1), make_field(3, 1), make_field(2, 2),
+              make_field(5, 1), make_field(3, 2)]
+    for trial in range(100):
+        f = fields[trial % len(fields)]
+        n = rng.randrange(1, 7)
+        while True:  # singular draws are rejected by order() on the way
+            m = Mat(f, [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)])
+            if m.det() != 0:
+                break
+            with pytest.raises(Singular):
+                m.order()
+        assert_exact_order(m, m.order())
+
+
+def test_order_structured_cases():
+    f2, f3, f5 = make_field(2, 1), make_field(3, 1), make_field(5, 1)
+    # t^4 + t + 1 is primitive over GF(2): its companion matrix has order 15,
+    # while e_1 alone only sees the eigenvalue 1 of diag(1, C)
+    c = companion(f2, (1, 1, 0, 0))
+    assert c.order() == 15
+    d = block_diag(Mat.identity(f2, 1), c)
+    assert d.order() == 15
+    assert_exact_order(d, 15)
+    # unipotent Jordan blocks: the p-part of the bound
+    assert jordan_one(f2, 5).order() == 8
+    assert_exact_order(jordan_one(f2, 5), 8)
+    assert jordan_one(f3, 4).order() == 9
+    assert_exact_order(jordan_one(f3, 4), 9)
+    # a scalar matrix: 2 has order 4 mod 5
+    assert Mat.identity(f5, 3).scale(2).order() == 4
+    assert Mat.identity(f5, 3).order() == 1
+    # diag(B, B) has the order of B; t^2 - t - 1 is primitive over GF(3)
+    b = companion(f3, (2, 2))
+    assert block_diag(b, b).order() == b.order() == 8
+
+
+def poly_at(g, m):
+    acc = Mat.zero(m.field, m.n)
+    for c in reversed(g.coeffs):
+        acc = acc * m + Mat.identity(m.field, m.n).scale(c)
+    return acc
+
+
+def minpoly_degree_oracle(m):
+    """Least d with I, A, ..., A**d linearly dependent, on flattened matrices."""
+    space = RowSpace(m.field, m.n * m.n)
+    power = Mat.identity(m.field, m.n)
+    d = 0
+    while space.add([c for row in power.rows for c in row]):
+        power = power * m
+        d += 1
+    return d
+
+
+def test_minpoly_against_linear_dependence_oracle():
+    rng = random.Random(4)
+    f2, f3 = make_field(2, 1), make_field(3, 1)
+    cases = [
+        block_diag(Mat.identity(f2, 1), companion(f2, (1, 1, 0, 0))),
+        jordan_one(f2, 5),
+        Mat.identity(f3, 4).scale(2),
+        block_diag(companion(f3, (2, 2)), companion(f3, (2, 2))),
+        Mat.zero(f3, 3),
+    ]
+    fields = [f2, f3, make_field(2, 2), make_field(5, 1), make_field(3, 2)]
+    for trial in range(60):
+        f = fields[trial % len(fields)]
+        n = rng.randrange(1, 6)
+        # sparse entries give repeated factors and short local polynomials
+        cases.append(Mat(f, [[rng.randrange(f.order) if rng.random() < 0.4 else 0
+                              for _ in range(n)] for _ in range(n)]))
+    for m in cases:
+        g = m.minpoly()
+        assert g.is_monic
+        assert g.degree == minpoly_degree_oracle(m), m
+        assert poly_at(g, m) == Mat.zero(m.field, m.n)
+        assert (m.charpoly() % g).is_zero
 
 
 def test_pow_and_identity():
