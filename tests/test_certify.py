@@ -6,6 +6,7 @@ with a meaningful failed-claim name.
 """
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,25 @@ def test_round_trip(n, q):
 @pytest.mark.parametrize("n,q", ALL_CASES)
 def test_byte_stable(n, q):
     assert dumps(certify(n, q)) == dumps(certify(n, q))
+
+
+# sha256 of dumps(certify(n, q, 1)).  The field layer may be rewritten,
+# but these bytes may change only together with VERSION.
+PINNED_SHA256 = {
+    (9, 9): "6c0eafd61bd234579b1f50a4f5c75860252de5a083325cce00050404ff1691f9",
+    (10, 9): "b692f17d5e617adb42cedf0e535c4a06466cbb1f33554a63b9000bf1a60fb614",
+    (11, 9): "08728862d63002d58e5bf27f7d6c5b4555c1ebe8ab5c41ae85a97225ca7086ff",
+    (9, 16): "608994cbde99d9714390b2c84de7782df19322544972aa6ae424be2eda1f038f",
+    (11, 2): "814fd1c2b735a820398f8f1177fa0fd7917317b0add22063e5113f4f35f6925d",
+    (10, 7): "ecdf4dd53d5d30246122687b8fba15e1b1e176fb4f924c698c53f5a1ef884a0f",
+    (9, 25): "4b78b66a8cf2a61f97744db803a8dd3ff56f0decff81f1dfd5566452b02f80ad",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(PINNED_SHA256))
+def test_pinned_certificate_bytes(n, q):
+    text = dumps(certify(n, q, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[(n, q)]
 
 
 def test_serialization_shape(base):
