@@ -205,27 +205,30 @@ def order_from_bound(is_one: Callable[[int], bool], bound_factors) -> int:
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q = p**m with p prime, or raise NotPrimePower."""
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    for p in _trial_prime_table():
-        if p * p > q:
-            break
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, m
-    if is_prime(q):
-        return q, 1
-    # composite with no small prime factor: check for a perfect prime power
-    for m in range(2, q.bit_length() + 1):
-        p = round(q ** (1.0 / m))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand**m == q and is_prime(cand):
-                return cand, m
+    """Write q = p**m with p prime, or raise NotPrimePower.  Roots are exact
+    integer roots, so q may have any size."""
+    if q >= 2:
+        for p in _trial_prime_table():
+            if q % p == 0:
+                m = round(math.log(q, p))
+                if p**m == q:
+                    return p, m
+                break
+        else:  # every prime factor exceeds _TRIAL_LIMIT > 2**13
+            for m in range(1, q.bit_length() // 13 + 1):
+                p = _iroot(q, m)
+                if p**m == q and is_prime(p):
+                    return p, m
     raise NotPrimePower(f"{q} is not a prime power")
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n ** (1/m)) exactly, for n >= 1: Newton's method from above."""
+    if m == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y

@@ -9,20 +9,19 @@ whole construction reproducible: two runs (or two implementations) agree
 on every field, every embedding and every canonical element of given
 order.
 
-Multiplication takes one of three paths.  Prime fields reduce integers
-mod p, characteristic-2 extensions pack coefficients into int bitmasks
-(multiplication is carry-less), and odd extensions use little-endian
-digit tuples.  Any extension field with at most _TABLE_MAX elements
-also precomputes full multiplication and inversion tables, since those
-fields carry all of the matrix work; in the larger fields inversion is
-Fermat's a**(p**k - 2).  There is no polynomial code here: defining
-polynomials are searched with poly.is_irreducible over the prime field.
+Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX,
+which carry the matrix work, use full tables: mul and inv from exp/log
+of the least primitive element, add (odd p) built digit by digit.
+Larger ones pack: p = 2 codes are GF(2)[t] bitmasks; odd p puts
+coefficients in slots of one int (Kronecker substitution, von zur Gathen
+& Gerhard, Modern Computer Algebra, 8.4).  pow stays packed; inversion
+is Fermat's.  Defining polynomials come from poly.is_irreducible.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arith import factor, is_prime
 from .poly import Poly, is_irreducible
@@ -46,49 +45,19 @@ class InvalidPrime(ValueError):
     """Raised when a field characteristic is not prime."""
 
 
-# ---------------------------------------------------------------------------
-# GF(2)[t] on int bitmasks: bit i is the coefficient of t**i.
-
-def _gf2_mul_raw(a: int, b: int) -> int:
+def _gf2_mul(a: int, b: int, m: int) -> int:
+    """a * b mod m in GF(2)[t] on int bitmasks (bit i: coefficient of t**i)."""
     r = 0
     while a:
         if a & 1:
             r ^= b
         a >>= 1
         b <<= 1
+    dm = m.bit_length() - 1
+    while r.bit_length() > dm:
+        r ^= m << (r.bit_length() - 1 - dm)
     return r
 
-
-def _gf2_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while True:
-        sh = a.bit_length() - 1 - dm
-        if sh < 0 or a == 0:
-            return a
-        a ^= m << sh
-
-
-# ---------------------------------------------------------------------------
-# GF(p)[t] for odd p on little-endian digit tuples of fixed length k.
-
-def _vec_mul(a: Sequence[int], b: Sequence[int], p: int, mod: Sequence[int], k: int) -> tuple[int, ...]:
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    # reduce the high part against the monic modulus
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            base = i - k
-            for j in range(k):
-                prod[base + j] -= c * mod[j]
-        prod[i] = 0
-    return tuple(c % p for c in prod[:k])
-
-
-# ---------------------------------------------------------------------------
 
 class Field:
     """GF(p**k) with elements coded as integers in [0, p**k).
@@ -99,8 +68,8 @@ class Field:
     """
 
     __slots__ = (
-        "p", "k", "order", "modulus", "_modbits", "_inv_table",
-        "add", "sub", "neg", "mul", "inv", "dot",
+        "p", "k", "order", "modulus", "_inv_table", "_pack", "_unpack", "_pmul",
+        "add", "sub", "neg", "mul", "dot",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -108,11 +77,25 @@ class Field:
         self.k = k
         self.order = p**k
         self.modulus = modulus  # little-endian, length k+1, monic
-        self._modbits = None
         self._inv_table = None
-        if p == 2:
-            self._modbits = sum(c << i for i, c in enumerate(modulus))
-        self._bind_ops()
+        # code <-> the packed int that _pmul multiplies; packed 1 is 1
+        self._pack = self._unpack = int
+        self.dot = self._dot
+        if k == 1:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = self._pmul = lambda a, b: a * b % p
+            self.dot = self._dot_prime
+        elif p == 2:
+            m = sum(c << i for i, c in enumerate(modulus))
+            self.add = self.sub = lambda a, b: a ^ b
+            self.neg = int
+            self.mul = self._pmul = lambda a, b: _gf2_mul(a, b, m)
+        else:
+            self._bind_packed()
+        if 1 < k and self.order <= _TABLE_MAX:
+            self._tabulate()
 
     # -- representation ----------------------------------------------------
 
@@ -132,18 +115,10 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Little-endian coefficient vector of a over the prime field."""
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            a, c = divmod(a, p)
-            out.append(c)
-        return tuple(out)
+        return tuple(a // self.p**i % self.p for i in range(self.k))
 
     def encode(self, cs: Iterable[int]) -> int:
-        v = 0
-        for i, c in enumerate(cs):
-            v += (c % self.p) * self.p**i
-        return v
+        return sum(c % self.p * self.p**i for i, c in enumerate(cs))
 
     def scalar(self, c: int) -> int:
         """The image of the integer c under Z -> GF(p) -> this field."""
@@ -151,84 +126,97 @@ class Field:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _bind_ops(self):
-        p, k = self.p, self.k
-        if k == 1:
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: -a % p
-            self.mul = lambda a, b: a * b % p
-            self.inv = self._inv_prime
-            self.dot = self._dot_prime
+    def _bind_packed(self):
+        """Odd p: coefficient i in bits [i*w, (i+1)*w).  No slot of a
+        folded product exceeds (2k - 1)(p - 1)**2."""
+        p, k, modulus = self.p, self.k, self.modulus
+        w = (2 * k * (p - 1) ** 2).bit_length()
+        mask, top = (1 << w) - 1, k * w
+        shifts = range(top - w, -1, -w)
+        pad = sum(p << s for s in shifts)  # keeps differences nonnegative
+        r = [-c % p for c in modulus[:k]]  # t**k mod the modulus
+        folds = []
+        for _ in range(k - 1):
+            folds.append(sum(c << s for c, s in zip(r, range(0, top, w))))
+            r = [(x + r[-1] * (-c % p)) % p for x, c in zip([0] + r[:-1], modulus)]
+
+        def pack(a):
+            x = s = 0
+            while a:
+                a, c = divmod(a, p)
+                x |= c << s
+                s += w
+            return x
+
+        def unpack(x):  # slots reduced mod p on the way
+            a = 0
+            for s in shifts:
+                a = a * p + ((x >> s) & mask) % p
+            return a
+
+        def fold(x):  # a product of packed ints -> k slots
+            lo = x & ((1 << top) - 1)
+            x >>= top
+            for f in folds:
+                lo += (x & mask) % p * f
+                x >>= w
+            return lo
+
+        def pmul(x, y):
+            x = fold(x * y)
+            return sum(((x >> s) & mask) % p << s for s in shifts)
+
+        self._pack, self._unpack, self._pmul = pack, unpack, pmul
+        self.add = lambda a, b: unpack(pack(a) + pack(b))
+        self.sub = lambda a, b: unpack(pack(a) + pad - pack(b))
+        self.neg = lambda a: unpack(pad - pack(a))
+        self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
+
+    def _tabulate(self):
+        p, n = self.p, self.order - 1
+        for g in map(self._pack, range(p, n + 1)):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(self._unpack(x))
+                x = self._pmul(x, g)
+            if len(exp) == n:  # g is primitive
+                break
+        log = [0] * (n + 1)
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp
+        logs = log[1:]
+        mul = [[0] * (n + 1)] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        self._inv_table = [0] + [exp[n - i] for i in logs]
+        self._pack = self._unpack = int
+        self._pmul = self.mul = lambda a, b: mul[a][b]
+        if p == 2:
             return
-        if p == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = self.add
-            self.neg = lambda a: a
-            self.mul = self._mul_gf2
-        else:
-            self.add = self._add_digits
-            self.sub = self._sub_digits
-            self.neg = self._neg_digits
-            self.mul = self._mul_digits
-        self.inv = self._inv_fermat
-        if self.order <= _TABLE_MAX:
-            n = self.order
-            mul = self.mul
-            table = [[mul(a, b) for b in range(n)] for a in range(n)]
-            self._inv_table = [0] + [table[a].index(1) for a in range(1, n)]
-            self.mul = lambda a, b: table[a][b]
-            self.inv = self._inv_table_lookup
-        if p == 2:
-            self.dot = self._dot_gf2
-        else:
-            self.dot = self._dot_generic
+        add, neg, P = [[0]], [0], 1
+        for _ in range(self.k):  # GF(p**j) to GF(p**(j+1)): a = r + P*h, P = p**j
+            add = [[s + P * ((h + hb) % p) for hb in range(p) for s in add[r]]
+                   for h in range(p) for r in range(P)]
+            neg = [s + P * (-h % p) for h in range(p) for s in neg]
+            P *= p
+        sub = [[row[b] for b in neg] for row in add]
+        self.add = lambda a, b: add[a][b]
+        self.sub = lambda a, b: sub[a][b]
+        self.neg = neg.__getitem__
 
-    def _inv_prime(self, a):
+    def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def _inv_fermat(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+        if self.k == 1:
+            return pow(a, self.p - 2, self.p)
+        if self._inv_table:
+            return self._inv_table[a]
         return self.pow(a, self.order - 2)
-
-    def _inv_table_lookup(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv_table[a]
-
-    def _mul_gf2(self, a, b):
-        return _gf2_mod(_gf2_mul_raw(a, b), self._modbits)
-
-    def _add_digits(self, a, b):
-        return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
-
-    def _sub_digits(self, a, b):
-        return self.encode(x - y for x, y in zip(self.coeffs(a), self.coeffs(b)))
-
-    def _neg_digits(self, a):
-        return self.encode(-x for x in self.coeffs(a))
-
-    def _mul_digits(self, a, b):
-        return self.encode(
-            _vec_mul(self.coeffs(a), self.coeffs(b), self.p, self.modulus, self.k)
-        )
 
     # dot products carry the inner loops of all matrix code
     def _dot_prime(self, xs, ys):
         return sum(x * y for x, y in zip(xs, ys)) % self.p
 
-    def _dot_gf2(self, xs, ys):
-        mul = self.mul
-        acc = 0
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc ^= mul(x, y)
-        return acc
-
-    def _dot_generic(self, xs, ys):
+    def _dot(self, xs, ys):
         add, mul = self.add, self.mul
         acc = 0
         for x, y in zip(xs, ys):
@@ -241,13 +229,14 @@ class Field:
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = 1
+        x, mul, result = self._pack(a), self._pmul, 1
         while e:
             if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
+                result = mul(result, x)
             e >>= 1
-        return result
+            if e:
+                x = mul(x, x)
+        return self._unpack(result)
 
     def elements(self):
         return range(self.order)
@@ -257,37 +246,18 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic defining polynomials.
-#
-# Candidates of degree k are scanned in lexicographic order of the tuple
-# (c_0, c_1, ..., c_{k-1}) of non-leading coefficients, and the first one
-# that poly.is_irreducible accepts over the prime field wins.
 
 def _defining_poly(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest (low-degree-first) monic irreducible.
-
-    Candidates are ordered by the coefficient tuple (c_0, ..., c_{k-1});
-    the whole c_0 = 0 block is divisible by t, so the scan starts at
-    c_0 = 1.
-    """
+    """The first monic irreducible over GF(p) in the lexicographic order of
+    (c_0, ..., c_{k-1}); the c_0 = 0 block is divisible by t, so skip it."""
     if k == 1:
         return (0, 1)  # the polynomial t: GF(p) is GF(p)[t]/(t)
     prime = make_field(p, 1)
-    counters = [1] + [0] * (k - 1)
-    while True:
-        coeffs = counters + [1]
+    for i in range(p ** (k - 1), p**k):  # c_0 is the leading base-p digit of i
+        coeffs = [i // p**j % p for j in range(k - 1, -1, -1)] + [1]
         if is_irreducible(Poly(prime, coeffs)):
             return tuple(coeffs)
-        # odometer increment, last coefficient fastest
-        i = k - 1
-        while i >= 0:
-            counters[i] += 1
-            if counters[i] < p:
-                break
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            raise RuntimeError("no irreducible polynomial found")  # unreachable
+    raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,16 +308,17 @@ class Embedding:
     def __init__(self, small: Field, big: Field):
         self.small = small
         self.big = big
-        self.image_of_generator = self._find_image()
-        self._fwd = {}
-        for s in range(small.order):
-            v = 0
-            for c in reversed(small.coeffs(s)):
-                v = big.add(big.mul(v, self.image_of_generator), c)
-            self._fwd[s] = v
-        if len(set(self._fwd.values())) != small.order:
+        self.image_of_generator = g = self._find_image()
+        # lift(r + P*h) = lift(r) + h * g**j for P = p**j, one digit at a time
+        fwd, x = [0], 1
+        for _ in range(small.k):
+            fwd = [big.add(v, hx) for hx in [big.mul(h, x) for h in range(small.p)]
+                   for v in fwd]
+            x = big.mul(x, g)
+        self._fwd = dict(enumerate(fwd))
+        self._bwd = {v: s for s, v in enumerate(fwd)}
+        if len(self._bwd) != small.order:
             raise RuntimeError("embedding is not injective")  # unreachable
-        self._bwd = {v: s for s, v in self._fwd.items()}
 
     def _find_image(self) -> int:
         small, big = self.small, self.big
@@ -355,17 +326,12 @@ class Embedding:
             return 0  # root of the degree-1 convention polynomial t
         sub_ord = small.order - 1
         w = element_of_order(big, sub_ord, factor(sub_ord))
-        candidates = [0] + [big.pow(w, i) for i in range(sub_ord)]
-        roots = []
-        for c in candidates:
-            acc = 0
-            for m in reversed(small.modulus):
-                acc = big.add(big.mul(acc, c), m)
-            if acc == 0:
-                roots.append(c)
-        if not roots:
-            raise RuntimeError("defining polynomial has no root in big field")
-        return min(roots)
+        f, c = Poly(big, small.modulus), 1
+        for _ in range(sub_ord):  # c runs over GF(small)* inside big
+            if f.evaluate(c) == 0:  # the other roots are the conjugates of c
+                return min(big.pow(c, small.p**i) for i in range(small.k))
+            c = big.mul(c, w)
+        raise RuntimeError("defining polynomial has no root in big field")
 
     def lift(self, a: int) -> int:
         """Image in the big field of a small-field element."""

@@ -114,3 +114,22 @@ def test_prime_power_decompose():
     for bad in (0, 1, 6, 12, 100, -8):
         with pytest.raises(NotPrimePower):
             prime_power_decompose(bad)
+
+
+def next_prime(n):
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_prime_power_decompose_beyond_float_range():
+    # q ** (1.0 / m) overflows a float here; the roots must be exact integers
+    p = next_prime(10**160)
+    r = next_prime(p)
+    assert prime_power_decompose(p**2) == (p, 2)
+    assert prime_power_decompose(p**3) == (p, 3)
+    with pytest.raises(NotPrimePower):
+        prime_power_decompose(p * r)
+    # a float root of (2**61 - 1)**3 is off by more than one
+    assert prime_power_decompose((2**61 - 1) ** 3) == (2**61 - 1, 3)

@@ -16,6 +16,7 @@ from math import gcd
 
 import pytest
 
+from sl23.arith import is_prime
 from sl23.certify import (
     VerifyResult,
     certify,
@@ -284,6 +285,16 @@ def test_non_canonical_integers_are_rejected(c11):
     assert not verify(c).ok
     for bad in ("+2", " 2", "2\n", "0x2", "-0", "", "2.0"):
         assert not tampered(c11, ("q",), bad).ok, bad
+
+
+def test_huge_prime_power_q_is_a_failed_claim(base):
+    # the first prime above 10**160, squared: too large for a float root
+    p = 10**160 + 1
+    while not is_prime(p):
+        p += 2
+    assert tampered(base, ("q",), str(p * p)) == VerifyResult(
+        False, "prime power decomposition"
+    )
 
 
 def test_certify_checks_survive_python_O():

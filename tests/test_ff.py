@@ -54,7 +54,7 @@ ACCEPTANCE_MODULI = {
     (13, 8): (1, 0, 0, 0, 0, 0, 2, 1, 1),
     (13, 9): (1, 0, 0, 0, 0, 0, 0, 1, 2, 1),
 }
-BIG = [(3, 8), (2, 11)]
+BIG = [(3, 8), (2, 11), (1000003, 2)]
 
 
 def sample(field, rng):
@@ -249,3 +249,75 @@ def test_acceptance_field_moduli_are_pinned():
     for (p, k), modulus in ACCEPTANCE_MODULI.items():
         assert make_field(p, k).modulus == modulus, (p, k)
 
+
+
+# --- differential checks against a schoolbook oracle ----------------------
+#
+# The oracle works on digit vectors: coefficient-wise sums, the full
+# polynomial product, then reduction by field.modulus from the top down.
+
+# every extension field with at most 256 elements (the tabled ones)
+TABLED = [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)] + [
+    (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+
+
+def digits(field, a):
+    return [a // field.p**i % field.p for i in range(field.k)]
+
+
+def undigits(field, cs):
+    v = 0
+    for c in reversed(cs):
+        v = v * field.p + c % field.p
+    return v
+
+
+def oracle_mul(field, x, y):
+    p, k, m = field.p, field.k, field.modulus
+    prod = [0] * (2 * k - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(k + 1):
+                prod[i - k + j] -= c * m[j]
+    return undigits(field, prod[:k])
+
+
+def test_tabled_fields_match_the_oracle_exhaustively():
+    assert len(TABLED) == 16
+    assert all(p**k <= 256 for p, k in TABLED)
+    for p, k in TABLED:
+        field = make_field(p, k)
+        vecs = [digits(field, a) for a in field.elements()]
+        for a, x in enumerate(vecs):
+            assert field.neg(a) == undigits(field, [-c for c in x])
+            for b, y in enumerate(vecs):
+                assert field.add(a, b) == undigits(field, [u + v for u, v in zip(x, y)])
+                assert field.sub(a, b) == undigits(field, [u - v for u, v in zip(x, y)])
+                assert field.mul(a, b) == oracle_mul(field, x, y), (p, k, a, b)
+            if a:
+                assert oracle_mul(field, x, vecs[field.inv(a)]) == 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 50), (251, 10), (17, 2), (2**89 - 1, 2), (2, 40)])
+def test_packed_fields_match_the_oracle(p, k):
+    field = make_field(p, k)
+    rng = random.Random(p + k)
+    for _ in range(300):
+        a, b = sample(field, rng), sample(field, rng)
+        x, y = digits(field, a), digits(field, b)
+        assert field.add(a, b) == undigits(field, [u + v for u, v in zip(x, y)])
+        assert field.sub(a, b) == undigits(field, [u - v for u, v in zip(x, y)])
+        assert field.neg(a) == undigits(field, [-c for c in x])
+        assert field.mul(a, b) == oracle_mul(field, x, y)
+    for _ in range(10):
+        a = nonzero_sample(field, rng)
+        acc = 1
+        for e in range(40):
+            assert field.pow(a, e) == acc
+            acc = oracle_mul(field, digits(field, acc), digits(field, a))
+        assert oracle_mul(field, digits(field, a), digits(field, field.inv(a))) == 1
