@@ -256,14 +256,21 @@ def _assumption_lines(tag: str, n: int, q: int, Q: int,
 # ---------------------------------------------------------------------------
 
 
+def _has_prime_order(a: Mat, r: int) -> bool:
+    """For a prime r, a has order r iff a != I and a**r = I: no factoring."""
+    return not a.is_identity and (a**r).is_identity
+
+
 def certify(n: int, q: int, seed: int = 0) -> dict:
     """Build the pair for (n, q) and record every checked fact about it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     pair = build(n, q)
     field = pair.field
     x, y, z = pair.x, pair.y, pair.z
-    ox, oy, oz = x.order(), y.order(), z.order()
-    if (ox, oy, oz) != (2, 3, pair.Q):
-        raise ArithmeticError(f"orders {ox}, {oy}, {oz}; expected 2, 3, {pair.Q}")
+    oz = z.order()
+    if not (_has_prime_order(x, 2) and _has_prime_order(y, 3)) or oz != pair.Q:
+        raise ArithmeticError(f"x, y, x*y do not have orders 2, 3, {pair.Q}")
     cp = z.charpoly()
     if pair.tag == "special":
         expected = None
@@ -300,7 +307,7 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
         "matrices": {"x": _mat_json(x), "y": _mat_json(y)},
         "Q": str(pair.Q),
         "Q_factors": [[str(r), str(e)] for r, e in pair.Q_factors],
-        "orders": {"x": str(ox), "y": str(oy), "z": str(oz)},
+        "orders": {"x": "2", "y": "3", "z": str(oz)},
         "charpoly": {
             "z": _poly_json(cp),
             "expected": None if expected is None else _poly_json(expected),
@@ -419,9 +426,9 @@ def _verify(cert: dict) -> VerifyResult:
     y = _parse_mat(field, cert["matrices"]["y"], n)
     if x.det() != 1 or y.det() != 1:
         return no("determinant one")
-    if x.order() != 2 or _int(cert["orders"]["x"]) != 2:
+    if not _has_prime_order(x, 2) or _int(cert["orders"]["x"]) != 2:
         return no("order of x")
-    if y.order() != 3 or _int(cert["orders"]["y"]) != 3:
+    if not _has_prime_order(y, 3) or _int(cert["orders"]["y"]) != 3:
         return no("order of y")
     z = x * y
     Q = _int(cert["Q"])

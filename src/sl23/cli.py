@@ -38,6 +38,12 @@ def _render_pair(pair: GenPair) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def _write(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -135,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, required=True, choices=(9, 10, 11))
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gen", help="print the generator pair")
@@ -161,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "q <= q-max")
     p.add_argument("--n", type=int, required=True, choices=(9, 10, 11))
     p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -12,19 +12,19 @@ order.
 Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX,
 which carry the matrix work, use full tables: mul and inv from exp/log
 of the least primitive element, add (odd p) built digit by digit.
-Larger ones pack: p = 2 codes are GF(2)[t] bitmasks; odd p puts
-coefficients in slots of one int (Kronecker substitution, von zur Gathen
-& Gerhard, Modern Computer Algebra, 8.4).  pow stays packed; inversion
-is Fermat's.  Defining polynomials come from poly.is_irreducible.
+Larger ones are the packed poly.Ring over their defining polynomial, with
+Fermat inversion.  Each representation binds its own dot and axpy row
+kernels.  Defining polynomials come from poly.is_irreducible.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable
 
 from .arith import factor, is_prime
-from .poly import Poly, is_irreducible
+from .poly import Poly, Ring, is_irreducible, power
 
 _TABLE_MAX = 256
 
@@ -45,20 +45,6 @@ class InvalidPrime(ValueError):
     """Raised when a field characteristic is not prime."""
 
 
-def _gf2_mul(a: int, b: int, m: int) -> int:
-    """a * b mod m in GF(2)[t] on int bitmasks (bit i: coefficient of t**i)."""
-    r = 0
-    while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
-    dm = m.bit_length() - 1
-    while r.bit_length() > dm:
-        r ^= m << (r.bit_length() - 1 - dm)
-    return r
-
-
 class Field:
     """GF(p**k) with elements coded as integers in [0, p**k).
 
@@ -69,32 +55,37 @@ class Field:
 
     __slots__ = (
         "p", "k", "order", "modulus", "_inv_table", "_pack", "_unpack", "_pmul",
-        "add", "sub", "neg", "mul", "dot",
+        "add", "sub", "neg", "mul", "dot", "axpy",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.k = k
-        self.order = p**k
+        self.p, self.k, self.order = p, k, p**k
         self.modulus = modulus  # little-endian, length k+1, monic
         self._inv_table = None
         # code <-> the packed int that _pmul multiplies; packed 1 is 1
         self._pack = self._unpack = int
-        self.dot = self._dot
+        self.dot, self.axpy = self._dot, self._axpy
         if k == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
             self.mul = self._pmul = lambda a, b: a * b % p
-            self.dot = self._dot_prime
-        elif p == 2:
-            m = sum(c << i for i, c in enumerate(modulus))
-            self.add = self.sub = lambda a, b: a ^ b
+            self.dot = lambda xs, ys: sum(map(operator.mul, xs, ys)) % p
+            self.axpy = lambda c, xs, ys: [(x + c * y) % p for x, y in zip(xs, ys)]
+            return
+        ring = Ring(p, modulus)
+        self._pack, self._unpack, self._pmul = ring.pack, ring.unpack, ring.mul
+        if p == 2:
+            self.add = self.sub = operator.xor
             self.neg = int
-            self.mul = self._pmul = lambda a, b: _gf2_mul(a, b, m)
+            self.mul = ring.mul
         else:
-            self._bind_packed()
-        if 1 < k and self.order <= _TABLE_MAX:
+            pack, unpack, fold, pad = ring.pack, ring.unpack, ring.fold, ring.pad
+            self.add = lambda a, b: unpack(pack(a) + pack(b))
+            self.sub = lambda a, b: unpack(pack(a) + pad - pack(b))
+            self.neg = lambda a: unpack(pad - pack(a))
+            self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
+        if self.order <= _TABLE_MAX:
             self._tabulate()
 
     # -- representation ----------------------------------------------------
@@ -126,52 +117,6 @@ class Field:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _bind_packed(self):
-        """Odd p: coefficient i in bits [i*w, (i+1)*w).  No slot of a
-        folded product exceeds (2k - 1)(p - 1)**2."""
-        p, k, modulus = self.p, self.k, self.modulus
-        w = (2 * k * (p - 1) ** 2).bit_length()
-        mask, top = (1 << w) - 1, k * w
-        shifts = range(top - w, -1, -w)
-        pad = sum(p << s for s in shifts)  # keeps differences nonnegative
-        r = [-c % p for c in modulus[:k]]  # t**k mod the modulus
-        folds = []
-        for _ in range(k - 1):
-            folds.append(sum(c << s for c, s in zip(r, range(0, top, w))))
-            r = [(x + r[-1] * (-c % p)) % p for x, c in zip([0] + r[:-1], modulus)]
-
-        def pack(a):
-            x = s = 0
-            while a:
-                a, c = divmod(a, p)
-                x |= c << s
-                s += w
-            return x
-
-        def unpack(x):  # slots reduced mod p on the way
-            a = 0
-            for s in shifts:
-                a = a * p + ((x >> s) & mask) % p
-            return a
-
-        def fold(x):  # a product of packed ints -> k slots
-            lo = x & ((1 << top) - 1)
-            x >>= top
-            for f in folds:
-                lo += (x & mask) % p * f
-                x >>= w
-            return lo
-
-        def pmul(x, y):
-            x = fold(x * y)
-            return sum(((x >> s) & mask) % p << s for s in shifts)
-
-        self._pack, self._unpack, self._pmul = pack, unpack, pmul
-        self.add = lambda a, b: unpack(pack(a) + pack(b))
-        self.sub = lambda a, b: unpack(pack(a) + pad - pack(b))
-        self.neg = lambda a: unpack(pad - pack(a))
-        self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
-
     def _tabulate(self):
         p, n = self.p, self.order - 1
         for g in map(self._pack, range(p, n + 1)):
@@ -191,6 +136,7 @@ class Field:
         self._pack = self._unpack = int
         self._pmul = self.mul = lambda a, b: mul[a][b]
         if p == 2:
+            self.axpy = lambda c, xs, ys: [x ^ y for x, y in zip(xs, map(mul[c].__getitem__, ys))]
             return
         add, neg, P = [[0]], [0], 1
         for _ in range(self.k):  # GF(p**j) to GF(p**(j+1)): a = r + P*h, P = p**j
@@ -202,6 +148,7 @@ class Field:
         self.add = lambda a, b: add[a][b]
         self.sub = lambda a, b: sub[a][b]
         self.neg = neg.__getitem__
+        self.axpy = lambda c, xs, ys: [add[x][y] for x, y in zip(xs, map(mul[c].__getitem__, ys))]
 
     def inv(self, a):
         if a == 0:
@@ -212,9 +159,11 @@ class Field:
             return self._inv_table[a]
         return self.pow(a, self.order - 2)
 
-    # dot products carry the inner loops of all matrix code
-    def _dot_prime(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
+    # dot products and row updates carry the inner loops of all matrix code
+    def _axpy(self, c, xs, ys):
+        """[x + c*y for x, y in zip(xs, ys)]."""
+        add, mul = self.add, self.mul
+        return [add(x, mul(c, y)) if y else x for x, y in zip(xs, ys)]
 
     def _dot(self, xs, ys):
         add, mul = self.add, self.mul
@@ -227,16 +176,8 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         """a**e with e >= 0 (or e < 0 for invertible a)."""
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        x, mul, result = self._pack(a), self._pmul, 1
-        while e:
-            if e & 1:
-                result = mul(result, x)
-            e >>= 1
-            if e:
-                x = mul(x, x)
-        return self._unpack(result)
+            a, e = self.inv(a), -e
+        return self._unpack(power(self._pack(a), e, self._pmul))
 
     def elements(self):
         return range(self.order)

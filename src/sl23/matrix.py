@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
 from .ff import Field
-from .poly import Poly
+from .poly import Poly, Ring, pow_mod, power
 
 
 class WrongShape(ValueError):
@@ -61,11 +61,7 @@ class Mat:
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            c == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, c in enumerate(row)
-        )
+        return self.rows == Mat.identity(self.field, self.n).rows
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.n != other.n or self.field != other.field:
@@ -88,16 +84,7 @@ class Mat:
         return Mat(self.field, ((mul(c, a) for a in row) for row in self.rows))
 
     def __pow__(self, e: int) -> "Mat":
-        if e < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = Mat.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Mat.__mul__, Mat.identity(self.field, self.n))
 
     @property
     def T(self) -> "Mat":
@@ -112,11 +99,8 @@ class Mat:
 
     def det(self) -> int:
         """Determinant by Gaussian elimination with first-nonzero pivoting."""
-        f = self.field
-        a = [list(r) for r in self.rows]
-        n = self.n
-        sign_flips = 0
-        d = 1
+        f, n, a = self.field, self.n, [list(r) for r in self.rows]
+        sign_flips, d = 0, 1
         for j in range(n):
             piv = next((i for i in range(j, n) if a[i][j] != 0), None)
             if piv is None:
@@ -124,14 +108,12 @@ class Mat:
             if piv != j:
                 a[j], a[piv] = a[piv], a[j]
                 sign_flips ^= 1
-            pivval = a[j][j]
-            d = f.mul(d, pivval)
-            inv_p = f.inv(pivval)
+            d = f.mul(d, a[j][j])
+            inv_p = f.inv(a[j][j])
             for i in range(j + 1, n):
                 c = a[i][j]
                 if c:
-                    fct = f.mul(c, inv_p)
-                    a[i] = [f.sub(x, f.mul(fct, y)) for x, y in zip(a[i], a[j])]
+                    a[i] = f.axpy(f.neg(f.mul(c, inv_p)), a[i], a[j])
         return f.neg(d) if sign_flips else d
 
     def charpoly(self) -> Poly:
@@ -153,7 +135,7 @@ class Mat:
                 c = h[i][j]
                 if c:
                     fct = f.mul(c, inv_p)
-                    h[i] = [f.sub(x, f.mul(fct, y)) for x, y in zip(h[i], h[j + 1])]
+                    h[i] = f.axpy(f.neg(fct), h[i], h[j + 1])
                     # compensating column operation keeps the conjugacy class
                     for row in h:
                         row[j + 1] = f.add(row[j + 1], f.mul(fct, row[i]))
@@ -201,8 +183,12 @@ class Mat:
         for d, _ in factor_degree_components(m):
             for r, e in factor(f.order**d - 1):
                 bound[r] = max(bound.get(r, 0), e)
-        t = Poly.x(f)
-        return order_from_bound(lambda e: t.pow_mod(e, m).coeffs == (1,), bound.items())
+        if f.k > 1:
+            return order_from_bound(lambda e: pow_mod(Poly.x(f), e, m).coeffs == (1,),
+                                    bound.items())
+        ring = Ring(f.p, m.coeffs)  # over GF(p) t**e stays packed: 1 is the int 1
+        t = ring.pack_poly(Poly.x(f) % m)
+        return order_from_bound(lambda e: ring.pow(t, e) == 1, bound.items())
 
 
 def factor_degree_components(cp: Poly) -> list[tuple[int, Poly]]:
@@ -223,14 +209,11 @@ def factor_degree_components(cp: Poly) -> list[tuple[int, Poly]]:
         if 2 * d > g.degree:
             out.append((g.degree, g))
             break
-        u = u.pow_mod(field.order, g)
+        u = pow_mod(u, field.order, g)
         h = g.gcd(u - x)
         if h.degree > 0:
             out.append((d, h))
-            while True:
-                w = g.gcd(h)
-                if w.degree == 0:
-                    break
+            while (w := g.gcd(h)).degree > 0:
                 g = g // w
             u = u % g
     return out
@@ -260,7 +243,7 @@ class RowSpace:
         for row, piv in zip(self.echelon, self.pivots):
             c = v[piv]
             if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+                v = f.axpy(f.neg(c), v, row)
         return v
 
     def add(self, vec: Sequence[int]) -> bool:
@@ -302,8 +285,7 @@ def kernel(field: Field, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
         a[prow] = [field.mul(inv, c) for c in a[prow]]
         for i in range(m):
             if i != prow and a[i][col]:
-                c = a[i][col]
-                a[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(a[i], a[prow])]
+                a[i] = field.axpy(field.neg(a[i][col]), a[i], a[prow])
         pivots.append((prow, col))
         prow += 1
         if prow == m:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .matrix import Mat, RowSpace, factor_degree_components, kernel
-from .poly import Poly
+from .poly import Poly, pow_mod
 
 
 class ZeroSeed(ValueError):
@@ -117,23 +117,15 @@ def scan_lines(x: Mat, y: Mat) -> Verdict:
     n, field = _check_gens([x, y])
     lambdas = [c for c in range(1, field.order) if field.pow(c, 3) == 1]
     nus = [c for c in range(1, field.order) if field.pow(c, 2) == 1]
+
+    def minus(a: Mat, c: int) -> list:  # the rows of a - c*I
+        return [[field.sub(e, c) if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(a.rows)]
+
     for side, (xx, yy) in (("natural", (x, y)), ("dual", (x.T, y.T))):
         for lam in lambdas:
             for nu in nus:
-                stacked = [
-                    tuple(
-                        field.sub(row[j], lam if i == j else 0)
-                        for j, _ in enumerate(row)
-                    )
-                    for i, row in enumerate(yy.rows)
-                ] + [
-                    tuple(
-                        field.sub(row[j], nu if i == j else 0)
-                        for j, _ in enumerate(row)
-                    )
-                    for i, row in enumerate(xx.rows)
-                ]
-                null = kernel(field, stacked)
+                null = kernel(field, minus(yy, lam) + minus(xx, nu))
                 if null:
                     _assert_invariant([null[0]], [xx, yy])
                     return Verdict(irreducible=False, side=side, basis=(null[0],))
@@ -165,14 +157,13 @@ def _split_equal_degree(g: Poly, d: int, rng: random.Random) -> list[Poly]:
         if not 0 < c.degree < g.degree:
             if field.p == 2:
                 # trace map over GF(2): constant on each irreducible component
-                acc = u % g
-                t = acc
+                acc = t = u % g
                 for _ in range(field.k * d - 1):
-                    t = t.pow_mod(2, g)
+                    t = pow_mod(t, 2, g)
                     acc = (acc + t) % g
                 c = g.gcd(acc)
             else:
-                h = u.pow_mod((field.order**d - 1) // 2, g)
+                h = pow_mod(u, (field.order**d - 1) // 2, g)
                 c = g.gcd(h - Poly.constant(field, 1))
         if 0 < c.degree < g.degree:
             break

@@ -7,9 +7,12 @@ Ben-Or's irreducibility test, minimal polynomials over a subfield, and the
 signed coefficient reading used by the generator constructions); full
 factorization deliberately does not.
 
-This is the package's only polynomial code: ff.py finds each field's
-defining polynomial with is_irreducible over the prime field, so the
-Field and Embedding types are needed here for annotations only.
+There is one modular power, pow_mod.  Over a prime field it runs in Ring,
+F_p[t]/(f) on packed ints for any monic f; over an extension field it is
+square-and-multiply on Poly.  Ben-Or's test, matrix orders and the
+distinct-degree split all power this way, and ff.Field builds its large
+extension fields on Ring.  This is the package's only polynomial code, so
+the Field and Embedding types are needed here for annotations only.
 """
 
 from __future__ import annotations
@@ -105,57 +108,39 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a, b = (cs + (0,) * (n - len(cs)) for cs in (self.coeffs, other.coeffs))
+        return Poly(self.field, self.field.axpy(1, a, b))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, (f.sub(self[i], other[i]) for i in range(n)))
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other: "Poly") -> "Poly":
         f = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(f)
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = f.add, f.mul
+        out, m = [0] * (len(a) + len(b) - 1), len(b)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
+                out[i:i + m] = f.axpy(ai, out[i:i + m], b)
         return Poly(f, out)
 
     def scale(self, c: int) -> "Poly":
-        f = self.field
-        return Poly(f, (f.mul(c, a) for a in self.coeffs))
+        return Poly(self.field, [self.field.mul(c, a) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        inv_lead = f.inv(other.coeffs[-1])
+        r, b, d = list(self.coeffs), other.coeffs, other.degree
+        inv_lead = f.inv(b[-1])
         q = [0] * max(len(r) - d, 0)
         for i in range(len(r) - 1, d - 1, -1):
-            c = r[i]
-            if c:
-                factor = f.mul(c, inv_lead)
-                q[i - d] = factor
-                for j in range(d + 1):
-                    r[i - d + j] = f.sub(r[i - d + j], f.mul(factor, other.coeffs[j]))
+            if r[i]:
+                q[i - d] = c = f.mul(r[i], inv_lead)
+                r[i - d:i + 1] = f.axpy(f.neg(c), r[i - d:i + 1], b)
         return Poly(f, q), Poly(f, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -172,32 +157,119 @@ class Poly:
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def evaluate(self, a: int) -> int:
-        f = self.field
-        acc = 0
+        f, acc = self.field, 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, a), c)
         return acc
-
-    def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = Poly.constant(self.field, 1) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = result * base % mod
-            e >>= 1
-            if e:
-                base = base * base % mod
-        return result
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
-        if a.is_zero:
+        return a.monic() if a else a
+
+
+def power(x, e: int, mul, one=1):
+    """x**e for e >= 0 by square-and-multiply under the product mul: the
+    one powering loop behind Field.pow, Ring.pow, pow_mod and Mat.__pow__."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+class Ring:
+    """F_p[t]/(f) on packed ints, for any monic f of degree k >= 1 over GF(p).
+
+    Residues have ff.Field's codes, sum(c_i * p**i) for sum(c_i * t**i);
+    pack and unpack convert, mul and pow stay packed, and the packed 1 is
+    the int 1.  For p = 2 a code is its own GF(2)[t] bitmask and products
+    are carry-less.  Odd p puts c_i in bits [i*w, (i+1)*w) (Kronecker
+    substitution, von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+    A product of reduced elements has slots below k(p - 1)**2; fold clears
+    its top k - 1 slots from the highest down, adding multiples of t**k
+    mod f below, so no slot reaches 2k(p - 1)**2 < 2**w.
+    """
+
+    __slots__ = ("p", "slots", "mask", "pack", "unpack", "fold", "mul", "pad")
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        self.p, k = p, len(modulus) - 1
+        if p == 2:
+            m = sum(c << i for i, c in enumerate(modulus))
+
+            def mul(a, b):
+                r = 0
+                while a:
+                    if a & 1:
+                        r ^= b
+                    a >>= 1
+                    b <<= 1
+                while r.bit_length() > k:
+                    r ^= m << (r.bit_length() - 1 - k)
+                return r
+
+            self.pack = self.unpack = int
+            self.slots, self.mask, self.mul = range(k), 1, mul
+            return
+        w = (2 * k * (p - 1) ** 2).bit_length()
+        mask, top = (1 << w) - 1, k * w
+        self.slots, self.mask, shifts = range(0, top, w), mask, range(top - w, -1, -w)
+        self.pad = sum(p << s for s in shifts)  # keeps differences nonnegative
+        tk = sum(-c % p << s for c, s in zip(modulus, range(0, top, w)))
+        high = [(s, (1 << s) - 1, tk << s - top) for s in range(2 * top - 2 * w, top - 1, -w)]
+
+        def pack(a):
+            x = s = 0
+            while a:
+                a, c = divmod(a, p)
+                x |= c << s
+                s += w
+            return x
+
+        def unpack(x):  # slots reduced mod p on the way
+            a = 0
+            for s in shifts:
+                a = a * p + ((x >> s) & mask) % p
             return a
-        return a.monic()
+
+        def fold(x):  # a product of reduced elements -> k slots
+            for s, low, ts in high:
+                x = (x & low) + (x >> s) % p * ts
+            return x
+
+        def mul(x, y):
+            x = fold(x * y)
+            return sum(((x >> s) & mask) % p << s for s in shifts)
+
+        self.pack, self.unpack, self.fold, self.mul = pack, unpack, fold, mul
+
+    def pow(self, x: int, e: int) -> int:
+        return power(x, e, self.mul)
+
+    def pack_poly(self, f: Poly) -> int:
+        """The packed residue of an f over GF(p) of degree below k."""
+        return sum(c << s for c, s in zip(f.coeffs, self.slots))
+
+    def unpack_poly(self, x: int, field: Field) -> Poly:
+        """The residue x, reduced as mul and pow return it, as a Poly."""
+        return Poly(field, ((x >> s) & self.mask for s in self.slots))
+
+
+def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base**e modulo a monic mod, for e >= 0: packed in Ring(p, mod) over
+    a prime field, square-and-multiply on Poly over an extension field."""
+    field, base = mod.field, base % mod
+    if field.k > 1:
+        return power(base, e, lambda a, b: a * b % mod, Poly.constant(field, 1) % mod)
+    ring = Ring(field.p, mod.coeffs)
+    return ring.unpack_poly(ring.pow(ring.pack_poly(base), e), field)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -218,7 +290,7 @@ def is_irreducible(f: Poly) -> bool:
     x = Poly.x(f.field)
     u = x % f
     for _ in range(d // 2):
-        u = u.pow_mod(order, f)
+        u = pow_mod(u, order, f)
         if f.gcd(u - x).degree != 0:
             return False
     return True

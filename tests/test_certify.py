@@ -188,6 +188,21 @@ def test_tamper_order(base):
     assert not r.ok and r.failed_claim == "order of z"
 
 
+def test_tamper_generator_orders(base):
+    # each swap keeps det 1, so the order claims are what must break
+    identity = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+    for name, value, claim in [("x", base["matrices"]["y"], "order of x"),
+                               ("y", base["matrices"]["x"], "order of y"),
+                               ("x", identity, "order of x")]:
+        r = tampered(base, ("matrices", name), value)
+        assert not r.ok and r.failed_claim == claim, (name, claim)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        certify(11, 2, -5)
+
+
 def test_tamper_alpha(base):
     r = tampered(base, ("alphas", 2), "0")
     assert not r.ok and r.failed_claim

@@ -165,6 +165,17 @@ def test_sweep_gen_file_output(tmp_path, capsys):
     assert text.splitlines()[0] == "SL 11 2 field=(2,1,[0,1])"
 
 
+@pytest.mark.parametrize("command", ["gen", "certify", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    where = ["--q-max", "3"] if command == "sweep" else ["--q", "3", "--out", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "9", "--seed", "-1"] + where)
+    assert exc.value.code == 2
+    assert not path.exists()
+    assert "seed" in capsys.readouterr().err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

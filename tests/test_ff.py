@@ -321,3 +321,36 @@ def test_packed_fields_match_the_oracle(p, k):
             assert field.pow(a, e) == acc
             acc = oracle_mul(field, digits(field, acc), digits(field, a))
         assert oracle_mul(field, digits(field, a), digits(field, field.inv(a))) == 1
+
+
+
+@pytest.mark.parametrize("p,k", TABLED + [(2, 11), (3, 8), (2, 1), (5, 1)])
+def test_axpy_matches_scalar_arithmetic(p, k):
+    # every c in a tabled field; a sample in the packed and prime ones
+    field = make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    cs = field.elements() if field.order <= 256 else [sample(field, rng) for _ in range(300)]
+    for c in cs:
+        xs = [sample(field, rng) for _ in range(12)]
+        ys = [sample(field, rng) for _ in range(11)] + [0]
+        expected = [field.add(x, field.mul(c, y)) for x, y in zip(xs, ys)]
+        assert field.axpy(c, xs, ys) == expected, (c, xs, ys)
+
+# The defining polynomials of the slowest fields a q <= 256 sweep searches
+# for, each coded as sum(c_i * p**i) over its coefficients c_0, ..., c_k.
+SWEEP_MODULI = {
+    (2, 88): 609298613085773104051912705,
+    (2, 77): 195978209039090276368385,
+    (3, 55): 342437340129013684843408774,
+    (5, 33): 181607902050018310546876,
+    (13, 18): 134414155055002327883,
+    (199, 9): 509102816315774670407,
+    (251, 11): 255076434748515990410955258,
+}
+
+
+def test_sweep_field_moduli_are_pinned():
+    for (p, k), code in SWEEP_MODULI.items():
+        modulus = make_field(p, k).modulus
+        assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
+        assert sum(c * p**i for i, c in enumerate(modulus)) == code, (p, k)

@@ -153,6 +153,20 @@ def test_order_against_power_oracle():
         assert_exact_order(m, m.order())
 
 
+@pytest.mark.parametrize("p", [31, 65537])
+def test_order_over_large_primes_against_power_oracle(p):
+    f = make_field(p, 1)
+    rng = random.Random(p)
+    for n in range(1, 6):
+        # a scalar matrix has a degree-1 minimal polynomial
+        scalar = Mat.identity(f, n).scale(rng.randrange(2, p))
+        assert_exact_order(scalar, scalar.order())
+        for _ in range(6):
+            m = Mat(f, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            if m.det() != 0:
+                assert_exact_order(m, m.order())
+
+
 def test_order_structured_cases():
     f2, f3, f5 = make_field(2, 1), make_field(3, 1), make_field(5, 1)
     # t^4 + t + 1 is primitive over GF(2): its companion matrix has order 15,

@@ -10,10 +10,12 @@ from sl23.poly import (
     DegenerateConjugates,
     NotMonic,
     Poly,
+    Ring,
     WrongShape,
     from_signed_coeffs,
     is_irreducible,
     minimal_polynomial,
+    pow_mod,
     read_degree11,
     signed_coeffs,
 )
@@ -106,7 +108,72 @@ def test_pow_mod_matches_naive():
         naive = Poly.constant(field, 1)
         for _ in range(e):
             naive = (naive * base) % mod
-        assert base.pow_mod(e, mod) == naive
+        assert pow_mod(base, e, mod) == naive
+    with pytest.raises(ValueError):
+        pow_mod(base, -1, mod)
+
+
+# --- the packed ring F_p[t]/(f) against Poly products and remainders -------
+
+RING_PRIMES = [2, 3, 5, 251, 65537, 2**61 - 1]  # the last needs slots over 64 bits
+
+
+def ring_moduli(field, rng):
+    """For each degree 1-16: a random product of two monic factors (for
+    degree > 1, so reducible) and the first irreducible of a random run."""
+    for d in range(1, 17):
+        if d > 1:
+            a = rng.randrange(1, d)
+            yield random_monic(field, rng, a) * random_monic(field, rng, d - a), False
+        # about one in d monic polynomials is irreducible
+        candidates = (random_monic(field, rng, d) for _ in range(50 * d))
+        yield next(f for f in candidates if is_irreducible(f)), True
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_ring_matches_poly_arithmetic(p):
+    field = make_field(p, 1)
+    rng = random.Random(p)
+    for mod, irreducible in ring_moduli(field, rng):
+        d = mod.degree
+        ring = Ring(p, mod.coeffs)
+        for _ in range(4):
+            a, b = (Poly(field, [rng.randrange(p) for _ in range(d)]) for _ in range(2))
+            x, y = ring.pack_poly(a), ring.pack_poly(b)
+            code = sum(c * p**i for i, c in enumerate(a.coeffs))
+            assert ring.pack(code) == x and ring.unpack(x) == code
+            assert ring.unpack_poly(ring.mul(x, y), field) == a * b % mod
+            e = rng.randrange(30)
+            naive = Poly.constant(field, 1) % mod
+            for _ in range(e):
+                naive = naive * a % mod
+            assert ring.unpack_poly(ring.pow(x, e), field) == naive
+            assert pow_mod(a, e, mod) == naive
+        if irreducible:  # Frobenius: a**(p**d) = a in GF(p**d)
+            assert ring.pow(x, p**d) == x
+        assert ring.pow(x, 0) == 1
+
+
+@pytest.mark.parametrize("p", [65537, 2**61 - 1])
+def test_is_irreducible_matches_euler_criterion(p):
+    field = make_field(p, 1)
+    rng = random.Random(p + 2)
+    t2 = Poly(field, [0, 0, 1])
+    for c in [rng.randrange(1, p) for _ in range(40)]:
+        square = pow(c, (p - 1) // 2, p) == 1
+        assert is_irreducible(t2 - Poly.constant(field, c)) != square, c
+
+
+def test_is_irreducible_matches_cube_criterion():
+    p = 2**61 - 1
+    assert p % 3 == 1
+    field = make_field(p, 1)
+    rng = random.Random(3)
+    t3 = Poly(field, [0, 0, 0, 1])
+    cubes = [pow(rng.randrange(1, p), 3, p) for _ in range(10)]
+    for c in cubes + [rng.randrange(1, p) for _ in range(30)]:
+        cube = pow(c, (p - 1) // 3, p) == 1  # a cubic without a root is irreducible
+        assert is_irreducible(t3 - Poly.constant(field, c)) != cube, c
 
 
 def test_evaluate():
