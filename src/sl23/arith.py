@@ -223,10 +223,11 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
 
 
 def _iroot(n: int, m: int) -> int:
-    """floor(n ** (1/m)) exactly, for n >= 1: Newton's method from above."""
-    if m == 2:
-        return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // m)
+    """floor(n ** (1/m)) exactly, for n >= 1: Newton's method from just
+    above a float root of n's top 53 bits, shifted back by u bits."""
+    u, v = divmod(max(n.bit_length() - 53, 0), m)  # n >> m*u + v has <= 53 bits
+    y = int(math.ldexp((n >> m * u + v) ** (1 / m) * 2 ** (v / m), 60))
+    x = (y + (y >> 40) + 1 << u >> 60) + 1
     while True:
         y = ((m - 1) * x + n // x ** (m - 1)) // m
         if y >= x:

@@ -121,11 +121,13 @@ class Field:
         p, n = self.p, self.order - 1
         for g in map(self._pack, range(p, n + 1)):
             exp, x = [1], g
-            while x != 1:
+            while x != 1 and len(exp) <= n:  # at most q - 1 steps
                 exp.append(self._unpack(x))
                 x = self._pmul(x, g)
             if len(exp) == n:  # g is primitive
                 break
+        else:
+            raise ArithmeticError(f"{self!r} mod {self.modulus} has no primitive element")
         log = [0] * (n + 1)
         for i, a in enumerate(exp):
             log[a] = i

@@ -1,9 +1,9 @@
 """Exact dense matrices over a Field, plus the linear algebra the package
 needs: determinants, characteristic polynomials (Hessenberg reduction, no
 fractions ever leave the field), minimal polynomials by spinning unit
-vectors, exact element orders in GL_n as orders of t modulo the minimal
-polynomial (Celler & Leedham-Green 1997), kernels, incremental row spaces
-for spinning, and evaluation of words in two generators.
+vectors, exact orders in GL_n as orders of t in poly.Ring over GF(p) modulo
+the lcm of the minimal polynomial's Frobenius conjugates (Celler &
+Leedham-Green 1997), kernels, row spaces for spinning, and words in x, y.
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
-from .ff import Field
+from .ff import Field, make_field
 from .poly import Poly, Ring, pow_mod, power
 
 
@@ -171,23 +171,28 @@ class Mat:
         return m
 
     def order(self) -> int:
-        """Exact multiplicative order: that of t mod m_A; Singular if not
-        invertible.  It divides p**ceil(log_p n) * lcm(q**d - 1) over the
-        degrees d of the irreducible factors of m_A (those of the charpoly)."""
+        """Exact multiplicative order, or Singular: that of t mod m_p, the lcm
+        over GF(q) of m_A's Frobenius conjugates.  m_p lies over GF(p), as does
+        t**e - 1, which m_A divides iff m_p does.  The order divides
+        p**ceil(log_p n) * lcm(p**d - 1), d over the degrees of m_p's factors."""
         f, m = self.field, self.minpoly()
         if m[0] == 0:
             raise Singular("zero determinant, no multiplicative order")
-        bound = {f.p: 1}
-        while f.p ** bound[f.p] < self.n:
-            bound[f.p] += 1
-        for d, _ in factor_degree_components(m):
-            for r, e in factor(f.order**d - 1):
+        mp = conj = m
+        for _ in range(f.k - 1):
+            conj = Poly(f, map(f.frobenius, conj.coeffs))
+            if conj == m:  # m lies over a subfield
+                break
+            mp = mp * (conj // mp.gcd(conj))
+        if any(c >= f.p for c in mp.coeffs):
+            raise ArithmeticError(f"conjugate lcm of {m!r} is not over GF({f.p})")
+        mp = Poly(make_field(f.p, 1), mp.coeffs)
+        bound = {f.p: next(e for e in range(1, self.n + 1) if f.p**e >= self.n)}
+        for d, _ in factor_degree_components(mp):
+            for r, e in factor(f.p**d - 1):
                 bound[r] = max(bound.get(r, 0), e)
-        if f.k > 1:
-            return order_from_bound(lambda e: pow_mod(Poly.x(f), e, m).coeffs == (1,),
-                                    bound.items())
-        ring = Ring(f.p, m.coeffs)  # over GF(p) t**e stays packed: 1 is the int 1
-        t = ring.pack_poly(Poly.x(f) % m)
+        ring = Ring(f.p, mp.coeffs)  # t**e stays packed: 1 is the int 1
+        t = ring.pack_poly(Poly.x(mp.field) % mp)
         return order_from_bound(lambda e: ring.pow(t, e) == 1, bound.items())
 
 
@@ -198,12 +203,9 @@ def factor_degree_components(cp: Poly) -> list[tuple[int, Poly]]:
     product of the distinct irreducible factors of degree d.  Multiplicity
     is stripped along the way, so the input need not be squarefree.
     """
-    field = cp.field
-    g = cp.monic()
+    field, g, out, d = cp.field, cp.monic(), [], 0
     x = Poly.x(field)
-    out = []
     u = x % g
-    d = 0
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:

@@ -215,11 +215,7 @@ def is_irreducible_module(gens: Sequence[Mat], seed: int = 0) -> Verdict:
         a = _random_algebra_element(gens, rng)
         cp = a.charpoly()
         for d, component in factor_degree_components(cp):
-            if component.degree == d:
-                candidates = [component]
-            else:
-                candidates = _split_equal_degree(component, d, rng)
-            for g in candidates:
+            for g in _split_equal_degree(component, d, rng):
                 ga = _poly_at_matrix(g, a)
                 null = kernel(field, ga.rows)
                 if len(null) != d:

@@ -7,12 +7,12 @@ Ben-Or's irreducibility test, minimal polynomials over a subfield, and the
 signed coefficient reading used by the generator constructions); full
 factorization deliberately does not.
 
-There is one modular power, pow_mod.  Over a prime field it runs in Ring,
-F_p[t]/(f) on packed ints for any monic f; over an extension field it is
-square-and-multiply on Poly.  Ben-Or's test, matrix orders and the
-distinct-degree split all power this way, and ff.Field builds its large
-extension fields on Ring.  This is the package's only polynomial code, so
-the Field and Embedding types are needed here for annotations only.
+There is one modular power, pow_mod: in Ring, F_p[t]/(f) on packed ints
+for any monic f, over a prime field, and square-and-multiply on Poly over
+an extension field; Ben-Or's test and the distinct-degree split use it.
+Matrix orders power in Ring over GF(p) for every field, and ff.Field's
+large extension fields are Rings.  This is the package's only polynomial
+code, so the Field and Embedding types are needed here for annotations only.
 """
 
 from __future__ import annotations
@@ -286,11 +286,10 @@ def is_irreducible(f: Poly) -> bool:
     d = f.degree
     if d < 1:
         raise WrongShape("constant polynomials are neither")
-    order = f.field.order
     x = Poly.x(f.field)
     u = x % f
     for _ in range(d // 2):
-        u = pow_mod(u, order, f)
+        u = pow_mod(u, f.field.order, f)
         if f.gcd(u - x).degree != 0:
             return False
     return True

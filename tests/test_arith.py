@@ -7,6 +7,7 @@ import pytest
 
 from sl23.arith import (
     NotPrimePower,
+    _iroot,
     factor,
     is_prime,
     prime_power_decompose,
@@ -133,3 +134,17 @@ def test_prime_power_decompose_beyond_float_range():
         prime_power_decompose(p * r)
     # a float root of (2**61 - 1)**3 is off by more than one
     assert prime_power_decompose((2**61 - 1) ** 3) == (2**61 - 1, 3)
+
+
+def test_iroot_is_exact():
+    rng = random.Random(13)
+    for bits in (60, 61, 200, 1000, 4000, 14000):
+        n = rng.getrandbits(bits) | 1 << bits - 1
+        ms = {2, 3, 4, 5, 7, 13, 64, bits // 13, rng.randrange(2, bits // 13 + 1)}
+        for m in sorted(m for m in ms if m <= bits // 13):
+            r = rng.getrandbits(bits // m) | 1 << bits // m - 1
+            for x in (n, r**m - 1, r**m, r**m + 1):
+                root = _iroot(x, m)
+                assert root**m <= x < (root + 1) ** m, (bits, m)
+            assert _iroot(r**m, m) == r
+    assert [_iroot(x, 3) for x in (1, 7, 8, 26, 27)] == [1, 1, 2, 2, 3]

@@ -1,6 +1,9 @@
 """Field arithmetic: axioms, Frobenius, embeddings, element orders."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -354,3 +357,13 @@ def test_sweep_field_moduli_are_pinned():
         modulus = make_field(p, k).modulus
         assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
         assert sum(c * p**i for i, c in enumerate(modulus)) == code, (p, k)
+
+
+def test_a_reducible_modulus_raises_instead_of_hanging():
+    # t^4 + 1 = (t + 1)^4 over GF(2): t + 1 is nilpotent, nothing is primitive
+    script = "from sl23.ff import Field; Field(2, 4, (1, 0, 0, 0, 1))"
+    src = os.path.dirname(os.path.dirname(sys.modules["sl23.ff"].__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert done.returncode == 1
+    assert "ArithmeticError: GF(2^4)" in done.stderr

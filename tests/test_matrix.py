@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sl23.arith import factor
-from sl23.ff import make_field
+from sl23.ff import embed, make_field
 from sl23.matrix import (
     Mat,
     RowSpace,
@@ -187,6 +187,51 @@ def test_order_structured_cases():
     # diag(B, B) has the order of B; t^2 - t - 1 is primitive over GF(3)
     b = companion(f3, (2, 2))
     assert block_diag(b, b).order() == b.order() == 8
+
+
+def random_invertible(f, n, rng):
+    while True:
+        m = Mat(f, [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+def test_extension_field_orders_where_the_norm_would_be_wrong():
+    # the identity over GF(4) has m_A = t - 1 with norm (t - 1)^2, modulo
+    # which t has order 2; the lcm of the conjugates is t - 1 again
+    f4, f9, f16 = make_field(2, 2), make_field(3, 2), make_field(2, 4)
+    cases = [
+        (Mat.identity(f4, 3), 1),
+        (Mat.identity(f9, 2), 1),
+        (Mat.identity(f16, 4), 1),
+        (Mat.identity(f4, 2).scale(2), 3),  # omega * I: m_A = t - omega
+        (Mat(f4, [[2, 1], [0, 2]]), 6),  # J_2(omega)
+        (Mat.identity(f9, 3).scale(f9.neg(1)), 2),
+    ]
+    for m, want in cases:
+        assert m.order() == want, (m, want)
+        assert_exact_order(m, want)
+
+
+def test_orders_over_gf16_of_matrices_over_gf4():
+    # entries in the subfield GF(4): the conjugates of m_A repeat after two
+    small, big = make_field(2, 2), make_field(2, 4)
+    lift = embed(small, big).lift
+    rng = random.Random(416)
+    for trial in range(40):
+        a = random_invertible(small, 1 + trial % 4, rng)
+        b = Mat(big, ((lift(c) for c in row) for row in a.rows))
+        assert b.order() == a.order()
+        assert_exact_order(b, b.order())
+
+
+@pytest.mark.parametrize("p,k", [(2, 9), (17, 2)])
+def test_orders_over_untabled_extension_fields(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p**k)
+    for trial in range(16):
+        m = random_invertible(f, 1 + trial % 4, rng)
+        assert_exact_order(m, m.order())
 
 
 def poly_at(g, m):
