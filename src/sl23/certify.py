@@ -25,6 +25,7 @@ from typing import Optional
 
 from .arith import factor, is_prime, prime_power_decompose
 from .construct import (
+    OutOfRange,
     build,
     charpoly_from_deltas,
     coverage,
@@ -37,6 +38,7 @@ from .meataxe import InconclusiveAfterRetries, Verdict, is_irreducible_module, s
 from .poly import Poly, WrongShape, from_signed_coeffs, is_irreducible, read_degree11
 
 VERSION = "1"
+MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
 
 
 class ScanContradictsTable(RuntimeError):
@@ -265,6 +267,8 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
     """Build the pair for (n, q) and record every checked fact about it."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if q.bit_length() > MAX_Q_BITS:
+        raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
     pair = build(n, q)
     field = pair.field
     x, y, z = pair.x, pair.y, pair.z
@@ -381,6 +385,8 @@ def _verify(cert: dict) -> VerifyResult:
         return no("version")
     n = _int(cert["n"])
     q = _int(cert["q"])
+    if q.bit_length() > MAX_Q_BITS:
+        return no("q size")
     p = _int(cert["p"])
     m = _int(cert["m"])
     if prime_power_decompose(q) != (p, m):

@@ -34,7 +34,7 @@ class UnsupportedN(ValueError):
 
 
 class OutOfRange(ValueError):
-    """Raised when the generic construction is asked for an excluded q."""
+    """Raised for a q the generic construction excludes, or past certify.MAX_Q_BITS."""
 
 
 class NotSpecialCase(ValueError):

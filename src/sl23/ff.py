@@ -12,9 +12,10 @@ order.
 Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX,
 which carry the matrix work, use full tables: mul and inv from exp/log
 of the least primitive element, add (odd p) built digit by digit.
-Larger ones are the packed poly.Ring over their defining polynomial, with
-Fermat inversion.  Each representation binds its own dot and axpy row
-kernels.  Defining polynomials come from poly.is_irreducible.
+Larger ones are the packed poly.Ring over their defining polynomial (an
+int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
+Each representation binds its own dot and axpy row kernels.  Defining
+polynomials come from poly.is_irreducible.
 """
 
 from __future__ import annotations

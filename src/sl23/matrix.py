@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
 from .ff import Field, make_field
-from .poly import Poly, Ring, pow_mod, power
+from .poly import Poly, Ring, factor_degree_components, power
 
 
 class WrongShape(ValueError):
@@ -194,31 +194,6 @@ class Mat:
         ring = Ring(f.p, mp.coeffs)  # t**e stays packed: 1 is the int 1
         t = ring.pack_poly(Poly.x(mp.field) % mp)
         return order_from_bound(lambda e: ring.pow(t, e) == 1, bound.items())
-
-
-def factor_degree_components(cp: Poly) -> list[tuple[int, Poly]]:
-    """Distinct-degree decomposition of a nonzero polynomial.
-
-    Returns [(d, g_d)] ascending in d, where g_d is the (squarefree)
-    product of the distinct irreducible factors of degree d.  Multiplicity
-    is stripped along the way, so the input need not be squarefree.
-    """
-    field, g, out, d = cp.field, cp.monic(), [], 0
-    x = Poly.x(field)
-    u = x % g
-    while g.degree > 0:
-        d += 1
-        if 2 * d > g.degree:
-            out.append((g.degree, g))
-            break
-        u = pow_mod(u, field.order, g)
-        h = g.gcd(u - x)
-        if h.degree > 0:
-            out.append((d, h))
-            while (w := g.gcd(h)).degree > 0:
-                g = g // w
-            u = u % g
-    return out
 
 
 class RowSpace:

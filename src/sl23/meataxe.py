@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matrix import Mat, RowSpace, factor_degree_components, kernel
-from .poly import Poly, pow_mod
+from .matrix import Mat, RowSpace, kernel
+from .poly import Poly, factor_degree_components, pow_mod
 
 
 class ZeroSeed(ValueError):

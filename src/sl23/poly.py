@@ -7,9 +7,9 @@ Ben-Or's irreducibility test, minimal polynomials over a subfield, and the
 signed coefficient reading used by the generator constructions); full
 factorization deliberately does not.
 
-There is one modular power, pow_mod: in Ring, F_p[t]/(f) on packed ints
-for any monic f, over a prime field, and square-and-multiply on Poly over
-an extension field; Ben-Or's test and the distinct-degree split use it.
+pow_mod, the distinct-degree split and Ben-Or's test (the split up to its
+first factor) run in residue_ring(f), one per modulus: over GF(p) the packed
+Ring, where a product or a gcd step is a few int operations, else Poly.
 Matrix orders power in Ring over GF(p) for every field, and ff.Field's
 large extension fields are Rings.  This is the package's only polynomial
 code, so the Field and Embedding types are needed here for annotations only.
@@ -17,7 +17,8 @@ code, so the Field and Embedding types are needed here for annotations only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .ff import Embedding, Field
@@ -188,16 +189,21 @@ class Ring:
     """F_p[t]/(f) on packed ints, for any monic f of degree k >= 1 over GF(p).
 
     Residues have ff.Field's codes, sum(c_i * p**i) for sum(c_i * t**i);
-    pack and unpack convert, mul and pow stay packed, and the packed 1 is
-    the int 1.  For p = 2 a code is its own GF(2)[t] bitmask and products
-    are carry-less.  Odd p puts c_i in bits [i*w, (i+1)*w) (Kronecker
-    substitution, von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
-    A product of reduced elements has slots below k(p - 1)**2; fold clears
-    its top k - 1 slots from the highest down, adding multiples of t**k
-    mod f below, so no slot reaches 2k(p - 1)**2 < 2**w.
+    pack and unpack convert, mul, pow and sub stay packed, the packed 1 is
+    the int 1, and gcd takes degree <= k.  For p = 2 a code is its own
+    GF(2)[t] bitmask.  Odd p puts c_i in bits [i*w, (i+1)*w) (Kronecker
+    substitution, von zur Gathen & Gerhard, Modern Computer Algebra, 8.4);
+    no slot exceeds V = max(k, 2) * (p - 1)**2, k(p - 1)**2 in a product
+    and p(p - 1) in a gcd step.  reduce takes all slots mod p at once
+    (Granlund & Montgomery, PLDI 1994): for 2**s > V*p, m = 2**s // p + 1
+    and v <= V, v*m / 2**s - v/p <= V / 2**s < 1/p, so floor(v*m / 2**s) =
+    floor(v/p), and w = bitlen(V*m) keeps each v*m in its slot.  fold is
+    Barrett division (ibid., 9.1): for mu = t**(2k-2) // f, x = hi*t**k + lo
+    has quotient q = (hi*mu) // t**(k-2), so x mod f = lo + q*tk mod t**k
+    for tk = t**k mod f.  Each is a few int operations for any k.
     """
 
-    __slots__ = ("p", "slots", "mask", "pack", "unpack", "fold", "mul", "pad")
+    __slots__ = ("p", "w", "mask", "pack", "unpack", "fold", "mul", "sub", "gcd", "pad")
 
     def __init__(self, p: int, modulus: Sequence[int]):
         self.p, k = p, len(modulus) - 1
@@ -215,61 +221,117 @@ class Ring:
                     r ^= m << (r.bit_length() - 1 - k)
                 return r
 
+            def gcd(a, b):
+                while b:
+                    while (n := a.bit_length() - b.bit_length()) >= 0:
+                        a ^= b << n
+                    a, b = b, a
+                return a
+
             self.pack = self.unpack = int
-            self.slots, self.mask, self.mul = range(k), 1, mul
+            self.w, self.mask, self.mul, self.sub, self.gcd = 1, 1, mul, int.__xor__, gcd
             return
-        w = (2 * k * (p - 1) ** 2).bit_length()
-        mask, top = (1 << w) - 1, k * w
-        self.slots, self.mask, shifts = range(0, top, w), mask, range(top - w, -1, -w)
-        self.pad = sum(p << s for s in shifts)  # keeps differences nonnegative
-        tk = sum(-c % p << s for c, s in zip(modulus, range(0, top, w)))
-        high = [(s, (1 << s) - 1, tk << s - top) for s in range(2 * top - 2 * w, top - 1, -w)]
+        big = max(k, 2) * (p - 1) ** 2
+        s = (big * p).bit_length()
+        m = (1 << s) // p + 1
+        self.w = w = (big * m).bit_length()
+        self.mask = mask = (1 << w) - 1
+        top, low, shifts = k * w, (1 << k * w) - 1, range(k * w - w, -1, -w)
+        ones = ((1 << 2 * top) - 1) // mask  # a 1 in each of 2k slots
+        qmask, pad = ((1 << (w - s)) - 1) * ones, p * (ones & low)
+
+        def reduce(x):  # every slot mod p
+            return x - ((x * m >> s) & qmask) * p
+
+        # mu = t**(2k-2) // f by long division; r's slots stay below kp(p - 1) < 2**w
+        f, r, mu = sum(c << i * w for i, c in enumerate(modulus)), 1 << 2 * (top - w), 0
+        for i in range(top - 2 * w, -1, -w):
+            c = (r >> top + i & mask) % p
+            r, mu = r + ((p - c) * f << i), mu | c << i
+        tk, qs = reduce(pad - (f & low)), max(top - 2 * w, 0)
 
         def pack(a):
-            x = s = 0
+            x = i = 0
             while a:
                 a, c = divmod(a, p)
-                x |= c << s
-                s += w
+                x |= c << i
+                i += w
             return x
 
         def unpack(x):  # slots reduced mod p on the way
             a = 0
-            for s in shifts:
-                a = a * p + ((x >> s) & mask) % p
+            for i in shifts:
+                a = a * p + ((x >> i) & mask) % p
             return a
 
-        def fold(x):  # a product of reduced elements -> k slots
-            for s, low, ts in high:
-                x = (x & low) + (x >> s) % p * ts
-            return x
+        def fold(x):  # a product of reduced residues -> a reduced residue
+            x = reduce(x)
+            q = reduce((x >> top) * mu) >> qs
+            return reduce((x & low) + (q * tk & low))
 
-        def mul(x, y):
-            x = fold(x * y)
-            return sum(((x >> s) & mask) % p << s for s in shifts)
+        def gcd(a, b):  # the monic gcd
+            a, b = (b, a) if not b else (a, b)
+            while b:
+                j = (b.bit_length() - 1) // w * w
+                b = reduce(b * pow(b >> j, p - 2, p))
+                while a.bit_length() > j:  # clear a's top slot with monic b
+                    i = (a.bit_length() - 1) // w * w
+                    a = reduce(a + ((p - (a >> i)) * b << i - j))
+                a, b = b, a
+            return a
 
-        self.pack, self.unpack, self.fold, self.mul = pack, unpack, fold, mul
+        self.pack, self.unpack, self.fold, self.gcd, self.pad = pack, unpack, fold, gcd, pad
+        self.mul, self.sub = lambda x, y: fold(x * y), lambda x, y: reduce(x + pad - y)
 
     def pow(self, x: int, e: int) -> int:
         return power(x, e, self.mul)
 
     def pack_poly(self, f: Poly) -> int:
-        """The packed residue of an f over GF(p) of degree below k."""
-        return sum(c << s for c, s in zip(f.coeffs, self.slots))
+        """The packed f, for an f over GF(p) of degree at most k."""
+        return sum(c << i * self.w for i, c in enumerate(f.coeffs))
 
     def unpack_poly(self, x: int, field: Field) -> Poly:
-        """The residue x, reduced as mul and pow return it, as a Poly."""
-        return Poly(field, ((x >> s) & self.mask for s in self.slots))
+        """The packed x, reduced as the kernels return it, as a Poly."""
+        return Poly(field, ((x >> i) & self.mask for i in range(0, x.bit_length(), self.w)))
+
+
+def residue_ring(f: Poly):
+    """F[t]/(f) for a monic f: Ring over a prime field, else Poly residues."""
+    if f.field.k == 1:
+        return Ring(f.field.p, f.coeffs)
+    one, same = Poly.constant(f.field, 1) % f, lambda a, field=None: a
+    return SimpleNamespace(pack_poly=same, unpack_poly=same, sub=Poly.__sub__, gcd=Poly.gcd,
+                           pow=lambda a, e: power(a, e, lambda x, y: x * y % f, one))
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base**e modulo a monic mod, for e >= 0: packed in Ring(p, mod) over
-    a prime field, square-and-multiply on Poly over an extension field."""
-    field, base = mod.field, base % mod
-    if field.k > 1:
-        return power(base, e, lambda a, b: a * b % mod, Poly.constant(field, 1) % mod)
-    ring = Ring(field.p, mod.coeffs)
-    return ring.unpack_poly(ring.pow(ring.pack_poly(base), e), field)
+    """base**e modulo a monic mod, for e >= 0, in residue_ring(mod)."""
+    ring = residue_ring(mod)
+    return ring.unpack_poly(ring.pow(ring.pack_poly(base % mod), e), mod.field)
+
+
+def factor_degree_components(f: Poly) -> Iterator[tuple[int, Poly]]:
+    """Distinct-degree decomposition of a nonzero polynomial over GF(Q).
+
+    Yields (d, g_d) lazily, ascending in d: g_d = gcd(g, t**(Q**d) - t) is
+    the (squarefree) product of the distinct irreducible factors of degree
+    d, once g has lost all lower-degree factors; g | f, so u = t**(Q**d)
+    stays in one residue ring mod f.
+    """
+    field, g, d = f.field, f.monic(), 0
+    ring = residue_ring(g)
+    t, G, one = map(ring.pack_poly, (Poly.x(field) % g, g, Poly.constant(field, 1)))
+    u = t
+    while 2 * d + 2 <= g.degree:
+        d += 1
+        u = ring.pow(u, field.order)
+        if (h := ring.gcd(G, ring.sub(u, t))) != one:
+            yield d, (h := ring.unpack_poly(h, field))
+            while (w := g.gcd(h)).degree > 0:
+                g = g // w
+            G = ring.pack_poly(g)
+    if g.degree > 0:
+        yield g.degree, g
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -277,22 +339,14 @@ def is_irreducible(f: Poly) -> bool:
 
     f of degree d over GF(Q) is irreducible iff gcd(t**(Q**i) - t, f) == 1
     for every 1 <= i <= d/2: a reducible f has an irreducible factor of
-    some degree i <= d/2, and that factor divides t**(Q**i) - t.  Since
-    most candidates of a search have a small factor, the loop usually
-    stops after a few rounds.
+    some degree i <= d/2, and that factor divides t**(Q**i) - t.  These are
+    the distinct-degree split's rounds up to its first factor, usually few.
     """
     if not f.is_monic:
         raise NotMonic(f"irreducibility requires a monic polynomial, got {f!r}")
-    d = f.degree
-    if d < 1:
+    if f.degree < 1:
         raise WrongShape("constant polynomials are neither")
-    x = Poly.x(f.field)
-    u = x % f
-    for _ in range(d // 2):
-        u = pow_mod(u, f.field.order, f)
-        if f.gcd(u - x).degree != 0:
-            return False
-    return True
+    return next(factor_degree_components(f))[0] == f.degree
 
 
 def minimal_polynomial(w: int, e: Embedding) -> Poly:

@@ -12,12 +12,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from math import gcd
 
 import pytest
 
 from sl23.arith import is_prime
 from sl23.certify import (
+    MAX_Q_BITS,
     VerifyResult,
     certify,
     dumps,
@@ -310,6 +312,17 @@ def test_huge_prime_power_q_is_a_failed_claim(base):
     assert tampered(base, ("q",), str(p * p)) == VerifyResult(
         False, "prime power decomposition"
     )
+
+
+def test_q_past_the_size_limit_is_a_failed_claim(base):
+    # 14,000 bits: one Miller-Rabin test on q alone would take seconds
+    q = (1 << 13999) + 1
+    assert q.bit_length() > MAX_Q_BITS >= 1064  # the test above stays below
+    t0 = time.perf_counter()
+    assert tampered(base, ("q",), str(q)) == VerifyResult(False, "q size")
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(ValueError):
+        certify(9, q)
 
 
 def test_certify_checks_survive_python_O():

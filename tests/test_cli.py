@@ -49,6 +49,12 @@ def test_gen_rejects_bad_q(capsys):
     assert "error" in err
 
 
+def test_certify_rejects_q_past_the_size_limit(capsys):
+    rc, _, err = run(capsys, "certify", "--n", "9", "--q", str(3**5000))
+    assert rc == 2
+    assert "bits" in err
+
+
 def test_gen_rejects_unsupported_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "8", "--q", "3"])

@@ -12,10 +12,12 @@ from sl23.poly import (
     Poly,
     Ring,
     WrongShape,
+    factor_degree_components,
     from_signed_coeffs,
     is_irreducible,
     minimal_polynomial,
     pow_mod,
+    power,
     read_degree11,
     signed_coeffs,
 )
@@ -154,6 +156,98 @@ def test_ring_matches_poly_arithmetic(p):
         assert ring.pow(x, 0) == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 251, 2**61 - 1])
+@pytest.mark.parametrize("k", [1, 2, 11, 55, 60])
+def test_ring_at_the_slot_bounds(p, k):
+    # every coefficient p - 1 puts k(p - 1)**2 in a product's middle slot;
+    # low coefficients of f all 1, all p - 1 or random set t**k mod f
+    field = make_field(p, 1)
+    rng = random.Random(k * p)
+    top = Poly(field, [p - 1] * k)
+    for low in ([1] * k, [p - 1] * k, [rng.randrange(p) for _ in range(k)]):
+        mod = Poly(field, low + [1])
+        ring = Ring(p, mod.coeffs)
+        x = ring.pack_poly(top)
+        assert ring.unpack_poly(ring.mul(x, x), field) == top * top % mod
+        naive = Poly.constant(field, 1)
+        for e in range(1, 4):
+            naive = naive * top % mod
+            assert ring.unpack_poly(ring.pow(x, e), field) == naive
+        a = Poly(field, [rng.randrange(p // 2, p) for _ in range(k)])  # near the bound
+        y = ring.pack_poly(a)
+        for u, v, pu, pv in ((x, y, top, a), (y, y, a, a), (0, x, Poly(field), top)):
+            assert ring.unpack_poly(ring.sub(u, v), field) == pu - pv
+            assert ring.unpack_poly(ring.mul(u, v), field) == pu * pv % mod
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 2**61 - 1])
+def test_ring_gcd_matches_poly_gcd(p):
+    field = make_field(p, 1)
+    rng = random.Random(p + 1)
+    k = 12
+    ring = Ring(p, random_monic(field, rng, k).coeffs)
+
+    def check(a, b):
+        got = ring.unpack_poly(ring.gcd(ring.pack_poly(a), ring.pack_poly(b)), field)
+        assert got == a.gcd(b), (a, b)
+        return got
+
+    zero = Poly(field)
+    for _ in range(10):
+        a = random_poly(field, rng, k)
+        assert check(a, zero) == check(zero, a) == check(a, a)
+    assert check(zero, zero) == zero
+    coprime = 0
+    for d in range(1, 5):  # common factors of degree 1-4
+        for _ in range(10):
+            common = random_monic(field, rng, d)
+            a = common * random_monic(field, rng, rng.randrange(k - d + 1))
+            b = common * random_poly(field, rng, k - d)
+            assert check(a, b).degree >= d
+            a, b = random_monic(field, rng, d), random_monic(field, rng, d + 1)
+            coprime += check(a, b).degree == 0
+    assert coprime > 0
+
+
+def poly_degree_components(f):
+    """The distinct-degree split on Poly arithmetic alone."""
+    field, g, out, d = f.field, f.monic(), [], 0
+    x = Poly.x(field)
+    u = x % g
+    while g.degree > 0:
+        d += 1
+        if 2 * d > g.degree:
+            out.append((g.degree, g))
+            break
+        u = power(u, field.order, lambda a, b: a * b % g, Poly.constant(field, 1))
+        h = g.gcd(u - x)
+        if h.degree > 0:
+            out.append((d, h))
+            while (w := g.gcd(h)).degree > 0:
+                g = g // w
+            u = u % g
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (251, 1), (65537, 1), (2, 2), (3, 2)]
+)
+def test_split_matches_poly_reference(p, k):
+    # packed over GF(p), Poly residues over GF(4) and GF(9)
+    field = make_field(p, k)
+    rng = random.Random(p + 7)
+    verdicts = set()
+    for d in range(1, 13 if k == 1 else 7):
+        for _ in range(8):
+            f = random_monic(field, rng, d)
+            verdicts.add(irreducible := is_irreducible(f))
+            assert irreducible == (poly_degree_components(f)[0][0] == d), f
+            h = random_monic(field, rng, rng.randrange(1, 4))
+            g = f * h * h * random_monic(field, rng, 1)  # repeated factors
+            assert list(factor_degree_components(g)) == poly_degree_components(g), g
+    assert verdicts == {False, True}
+
+
 @pytest.mark.parametrize("p", [65537, 2**61 - 1])
 def test_is_irreducible_matches_euler_criterion(p):
     field = make_field(p, 1)
@@ -234,7 +328,9 @@ def mobius(n):
     return -mu if n > 1 else mu
 
 
-@pytest.mark.parametrize("p,k,max_degree", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
+@pytest.mark.parametrize(
+    "p,k,max_degree", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3)]
+)
 def test_is_irreducible_counts_every_monic_polynomial(p, k, max_degree):
     # Gauss: GF(q) has (1/d) * sum over e | d of mu(e) q^(d/e) monic
     # irreducibles of degree d
