@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional
 
-from .arith import factor, is_prime, prime_power_decompose
+from .arith import NotAnnihilated, factor, is_prime, prime_power_decompose
 from .construct import (
     OutOfRange,
     build,
@@ -263,6 +263,15 @@ def _has_prime_order(a: Mat, r: int) -> bool:
     return not a.is_identity and (a**r).is_identity
 
 
+def _has_order(a: Mat, N: int, factors) -> bool:
+    """a has order N, given N = prod(r**e) over (r, e) in factors with
+    distinct primes r: one Krylov spin and a power per prime, no factoring."""
+    try:
+        return a.order(factors) == N
+    except NotAnnihilated:
+        return False
+
+
 def certify(n: int, q: int, seed: int = 0) -> dict:
     """Build the pair for (n, q) and record every checked fact about it."""
     if seed < 0:
@@ -272,8 +281,8 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
     pair = build(n, q)
     field = pair.field
     x, y, z = pair.x, pair.y, pair.z
-    oz = z.order()
-    if not (_has_prime_order(x, 2) and _has_prime_order(y, 3)) or oz != pair.Q:
+    if not (_has_prime_order(x, 2) and _has_prime_order(y, 3)
+            and _has_order(z, pair.Q, pair.Q_factors)):
         raise ArithmeticError(f"x, y, x*y do not have orders 2, 3, {pair.Q}")
     cp = z.charpoly()
     if pair.tag == "special":
@@ -311,7 +320,7 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
         "matrices": {"x": _mat_json(x), "y": _mat_json(y)},
         "Q": str(pair.Q),
         "Q_factors": [[str(r), str(e)] for r, e in pair.Q_factors],
-        "orders": {"x": "2", "y": "3", "z": str(oz)},
+        "orders": {"x": "2", "y": "3", "z": str(pair.Q)},
         "charpoly": {
             "z": _poly_json(cp),
             "expected": None if expected is None else _poly_json(expected),
@@ -438,8 +447,7 @@ def _verify(cert: dict) -> VerifyResult:
         return no("order of y")
     z = x * y
     Q = _int(cert["Q"])
-    oz = z.order()
-    if oz != Q or _int(cert["orders"]["z"]) != oz:
+    if _int(cert["orders"]["z"]) != Q:
         return no("order of z")
 
     fs = [(_int(r), _int(e)) for r, e in cert["Q_factors"]]
@@ -449,6 +457,8 @@ def _verify(cert: dict) -> VerifyResult:
         return no("Q factorization")
     if prod(r**e for r, e in fs) != Q:
         return no("Q factorization")
+    if not _has_order(z, Q, fs):
+        return no("order of z")
 
     if generic and Q != target_order(n, q):
         return no("Q value")
@@ -560,7 +570,7 @@ def _verify(cert: dict) -> VerifyResult:
         pp = [_int(v) for v in cert["construction"]["prime_pair"]]
         if len(pp) != 2 or pp[0] == pp[1] or not all(is_prime(v) for v in pp):
             return no("prime pair")
-        reached = lcm(oz, *word_orders)
+        reached = lcm(Q, *word_orders)
         if any(reached % v for v in pp):
             return no("prime pair divides group order")
         prime_pair = (pp[0], pp[1])

@@ -1,15 +1,16 @@
 """Exact dense matrices over a Field, plus the linear algebra the package
 needs: determinants, characteristic polynomials (Hessenberg reduction, no
-fractions ever leave the field), minimal polynomials by spinning unit
-vectors, exact orders in GL_n as orders of t in poly.Ring over GF(p) modulo
-the lcm of the minimal polynomial's Frobenius conjugates (Celler &
-Leedham-Green 1997), kernels, row spaces for spinning, and words in x, y.
+fractions ever leave the field), minimal polynomials by Krylov spins, exact
+orders in GL_n as orders of t in poly.Ring over GF(p) modulo the lcm of
+the minimal polynomial's Frobenius conjugates (Celler & Leedham-Green
+1997), kernels, row spaces for spinning, and words in x, y.
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
@@ -152,13 +153,17 @@ class Mat:
         return polys[n]
 
     def minpoly(self) -> Poly:
-        """lcm of the local minimal polynomials of all unit vectors e_i (one
-        alone may give a proper divisor).  A**k e_i is reduced in a RowSpace
-        of [vector | t**k]; a zero vector part leaves e_i's polynomial."""
+        """lcm of the local minimal polynomials of three dense vectors seeded
+        from n, then of the unit vectors, up to degree n (Neunhoeffer & Praeger
+        2008): each divides m_A and those of all e_i give m_A, so it is exact.
+        A**k v is reduced in a RowSpace of [vector | t**k]; a zero vector part
+        leaves v's polynomial."""
         f, n = self.field, self.n
         m, units = Poly.constant(f, 1), Mat.identity(f, n + 1).rows
-        for i in range(n):
-            space, v = RowSpace(f, 2 * n + 1), units[i][:n]
+        rng = random.Random(n)
+        dense = [tuple(rng.randrange(f.order) for _ in range(n)) for _ in range(3)]
+        for v in dense + [e[:n] for e in units[:n]]:
+            space = RowSpace(f, 2 * n + 1)
             for k in range(n + 1):
                 space.add(v + units[k])
                 if space.pivots[-1] >= n:
@@ -170,11 +175,14 @@ class Mat:
                 break
         return m
 
-    def order(self) -> int:
+    def order(self, bound=None) -> int:
         """Exact multiplicative order, or Singular: that of t mod m_p, the lcm
         over GF(q) of m_A's Frobenius conjugates.  m_p lies over GF(p), as does
-        t**e - 1, which m_A divides iff m_p does.  The order divides
-        p**ceil(log_p n) * lcm(p**d - 1), d over the degrees of m_p's factors."""
+        t**e - 1, which m_A divides iff m_p does.  The search starts from a
+        multiple N of the order: bound = [(r, e), ...] with distinct primes r
+        gives N = prod(r**e) (NotAnnihilated if the order does not divide
+        it), else N = p**ceil(log_p n) * lcm(p**d - 1), d over the degrees
+        of m_p's factors."""
         f, m = self.field, self.minpoly()
         if m[0] == 0:
             raise Singular("zero determinant, no multiplicative order")
@@ -187,13 +195,15 @@ class Mat:
         if any(c >= f.p for c in mp.coeffs):
             raise ArithmeticError(f"conjugate lcm of {m!r} is not over GF({f.p})")
         mp = Poly(make_field(f.p, 1), mp.coeffs)
-        bound = {f.p: next(e for e in range(1, self.n + 1) if f.p**e >= self.n)}
-        for d, _ in factor_degree_components(mp):
-            for r, e in factor(f.p**d - 1):
-                bound[r] = max(bound.get(r, 0), e)
+        if bound is None:
+            powers = {f.p: next(e for e in range(1, self.n + 1) if f.p**e >= self.n)}
+            for d, _ in factor_degree_components(mp):
+                for r, e in factor(f.p**d - 1):
+                    powers[r] = max(powers.get(r, 0), e)
+            bound = powers.items()
         ring = Ring(f.p, mp.coeffs)  # t**e stays packed: 1 is the int 1
         t = ring.pack_poly(Poly.x(mp.field) % mp)
-        return order_from_bound(lambda e: ring.pow(t, e) == 1, bound.items())
+        return order_from_bound(lambda e: ring.pow(t, e) == 1, bound)
 
 
 class RowSpace:

@@ -173,12 +173,14 @@ def _split_equal_degree(g: Poly, d: int, rng: random.Random) -> list[Poly]:
 
 
 def _poly_at_matrix(g: Poly, a: Mat) -> Mat:
-    field = a.field
-    acc = Mat.zero(field, a.n)
-    for c in reversed(g.coeffs):
-        acc = acc * a
-        if c:
-            acc = acc + Mat.identity(field, a.n).scale(c)
+    """g(A), deg g >= 1, by Horner's rule from the leading coefficient."""
+    add, cs = a.field.add, g.coeffs
+    acc = a.scale(cs[-1])
+    for i in range(len(cs) - 2, -1, -1):
+        acc = Mat(a.field, (r[:j] + (add(r[j], cs[i]),) + r[j + 1:]
+                            for j, r in enumerate(acc.rows)))
+        if i:
+            acc = acc * a
     return acc
 
 

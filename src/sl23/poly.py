@@ -172,17 +172,18 @@ class Poly:
 
 def power(x, e: int, mul, one=1):
     """x**e for e >= 0 by square-and-multiply under the product mul: the
-    one powering loop behind Field.pow, Ring.pow, pow_mod and Mat.__pow__."""
+    one powering loop behind Field.pow, Ring.pow, pow_mod and Mat.__pow__.
+    one is returned for e = 0 only and never multiplied."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = one
+    result = None
     while e:
         if e & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         e >>= 1
         if e:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 class Ring:

@@ -17,7 +17,7 @@ from math import gcd
 
 import pytest
 
-from sl23.arith import is_prime
+from sl23.arith import factor, is_prime
 from sl23.certify import (
     MAX_Q_BITS,
     VerifyResult,
@@ -218,6 +218,40 @@ def test_tamper_assumptions(base):
 def test_tamper_q_factor(base):
     r = tampered(base, ("Q_factors", 0, 0), "4")
     assert not r.ok and r.failed_claim == "Q factorization"
+
+
+def test_consistent_multiple_of_the_order_fails_as_order_of_z(base):
+    # Q, orders.z and Q_factors agree with each other, so only the order of
+    # z, checked against that factorisation, can break
+    Q = int(base["Q"])
+    for mult in (2, 3, 101):
+        c = copy.deepcopy(base)
+        c["Q"] = c["orders"]["z"] = str(Q * mult)
+        c["Q_factors"] = [[str(r), str(e)] for r, e in factor(Q * mult)]
+        r = verify(c)
+        assert not r.ok and r.failed_claim == "order of z", mult
+
+
+def test_bad_factorization_fails_before_the_order_of_z(base):
+    c = copy.deepcopy(base)
+    c["Q"] = c["orders"]["z"] = str(2 * int(base["Q"]))  # Q_factors give Q
+    r = verify(c)
+    assert not r.ok and r.failed_claim == "Q factorization"
+
+
+GENERIC_AND_SL11 = ([(9, q) for q in (3, 5, 7, 8, 9, 11, 13, 16)]
+                    + [(10, q) for q in (5, 7, 8, 9, 11, 13, 16)]
+                    + [(11, q) for q in (2, 3, 4, 5, 7, 8, 9)])
+
+
+def test_order_of_z_needs_no_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factor({n}) called for a matrix order")
+
+    monkeypatch.setattr("sl23.matrix.factor", no_factoring)
+    for n, q in GENERIC_AND_SL11:
+        r = verify(certify(n, q))
+        assert r.ok, (n, q, r.failed_claim)
 
 
 def test_tamper_seed(base):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sl23.arith import factor
+from sl23.arith import NotAnnihilated, factor
 from sl23.ff import embed, make_field
 from sl23.matrix import (
     Mat,
@@ -275,6 +275,71 @@ def test_minpoly_against_linear_dependence_oracle():
         assert g.degree == minpoly_degree_oracle(m), m
         assert poly_at(g, m) == Mat.zero(m.field, m.n)
         assert (m.charpoly() % g).is_zero
+
+
+def unit_vector_lcm(m):
+    """lcm over the unit vectors e_i of the monic least g with g(A) e_i = 0,
+    each read off a kernel vector of the Krylov columns e_i, ..., A**d e_i."""
+    f, n = m.field, m.n
+    acc = Poly.constant(f, 1)
+    for i in range(n):
+        krylov, space = [], RowSpace(f, n)
+        v = tuple(1 if j == i else 0 for j in range(n))
+        while True:
+            krylov.append(v)
+            if not space.add(v):
+                break
+            v = m.apply(v)
+        (dep,) = kernel(f, [list(col) for col in zip(*krylov)])
+        g = Poly(f, dep).monic()
+        acc = acc * (g // acc.gcd(g))
+    return acc
+
+
+def non_cyclic_cases(f):
+    """Matrices whose minimal polynomial has degree below n, so no single
+    vector reaches degree n and the unit vectors must finish the lcm."""
+    c = f.order - 1 if f.order > 2 else 1
+    j3, j2 = jordan_one(f, 3), jordan_one(f, 2)
+    b = companion(f, (c, 1))
+    return [
+        Mat.identity(f, 4).scale(c),
+        block_diag(j3, j2),
+        block_diag(b, b),
+        block_diag(block_diag(b, Mat.identity(f, 1)), Mat.identity(f, 1)),
+    ]
+
+
+MINPOLY_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (17, 1)]
+
+
+@pytest.mark.parametrize("p,k", MINPOLY_FIELDS)
+def test_minpoly_is_the_unit_vector_lcm(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    cases = non_cyclic_cases(f) + [companion(f, (1, 0, 2 % p, 1))]
+    for trial in range(12):
+        n = 1 + trial % 6
+        cases.append(Mat(f, [[rng.randrange(f.order) if rng.random() < 0.5 else 0
+                              for _ in range(n)] for _ in range(n)]))
+    for m in cases:
+        assert m.minpoly() == unit_vector_lcm(m), m
+    for m in non_cyclic_cases(f):
+        assert m.minpoly().degree < m.n
+
+
+@pytest.mark.parametrize("p,k", MINPOLY_FIELDS)
+def test_order_with_a_bound_is_the_exact_order(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    cases = non_cyclic_cases(f) + [random_invertible(f, 1 + t % 6, rng) for t in range(10)]
+    for m in cases:
+        o = m.order()
+        for extra in (1, 2, 3, p, f.order - 1, 2 * 5 * 7):
+            assert m.order(factor(o * extra)) == o, (m, extra)
+        for r, _ in factor(o):
+            with pytest.raises(NotAnnihilated):
+                m.order(factor(o // r))
 
 
 def test_pow_and_identity():

@@ -7,7 +7,8 @@ import pytest
 from sl23.construct import build_generic, build_sl11, build_special
 from sl23.ff import make_field
 from sl23.matrix import Mat
-from sl23.meataxe import ZeroSeed, is_irreducible_module, scan_lines, spin
+from sl23.meataxe import ZeroSeed, _poly_at_matrix, is_irreducible_module, scan_lines, spin
+from sl23.poly import Poly
 
 
 def brute_force_reducible(gens):
@@ -36,6 +37,20 @@ def test_spin_basics():
     assert len(sr.basis) == 4
     with pytest.raises(ZeroSeed):
         spin((0, 0, 0, 0), [cyc])
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (17, 1)])
+def test_poly_at_matrix_matches_naive_horner(p, k):
+    field, n = make_field(p, k), 5
+    rng = random.Random(p**k)
+    for d in range(1, n + 1):
+        a = Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
+        g = Poly(field, [rng.randrange(field.order) for _ in range(d)]
+                 + [rng.randrange(1, field.order)])
+        naive = Mat.zero(field, n)
+        for c in reversed(g.coeffs):
+            naive = naive * a + Mat.identity(field, n).scale(c)
+        assert _poly_at_matrix(g, a) == naive, (d, g)
 
 
 def test_scan_lines_identity_pair():

@@ -115,6 +115,20 @@ def test_pow_mod_matches_naive():
         pow_mod(base, -1, mod)
 
 
+def test_power_never_multiplies_by_one():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b  # powers of x in the additive monoid: x**e is e * x
+
+    for e, products in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (12, 4), (255, 14)]:
+        calls.clear()
+        assert power(7, e, mul, one=0) == 7 * e
+        assert len(calls) == products, e
+        assert all(0 not in pair for pair in calls), e
+
+
 # --- the packed ring F_p[t]/(f) against Poly products and remainders -------
 
 RING_PRIMES = [2, 3, 5, 251, 65537, 2**61 - 1]  # the last needs slots over 64 bits
