@@ -4,8 +4,10 @@ A certificate is a JSON-ready dict recording one constructed pair together
 with every computed fact its generation argument rests on: exact element
 orders, the characteristic-polynomial identity for the product, both
 irreducibility verdicts, and for dimension 11 the table of maximal
-subgroup orders with its Q-divisibility scan.  verify() recomputes all of
-it from the serialized matrices alone, so a certificate never has to be
+subgroup orders with its Q-divisibility scan.  One section list,
+_sections, feeds both sides: certify() takes each section from it, and
+verify() rebuilds each one from the serialized matrices and the few facts
+a certificate states, then compares, so a certificate never has to be
 taken on faith.  The entries that cannot be recomputed (the completeness
 of the published subgroup classification) are spelled out as explicit
 assumption strings.
@@ -20,12 +22,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Optional
 
 from .arith import NotAnnihilated, factor, is_prime, prime_power_decompose
 from .construct import (
+    GenPair,
     OutOfRange,
+    Witness,
     build,
     charpoly_from_deltas,
     coverage,
@@ -33,12 +38,23 @@ from .construct import (
     target_order,
 )
 from .ff import Field, make_field
-from .matrix import Mat, RowSpace, check_word, eval_word
-from .meataxe import InconclusiveAfterRetries, Verdict, is_irreducible_module, scan_lines
-from .poly import Poly, WrongShape, from_signed_coeffs, is_irreducible, read_degree11
+from .matrix import Mat, check_word, eval_word
+from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_lines
+from .poly import Poly, from_signed_coeffs, is_irreducible, read_degree11
 
 VERSION = "1"
 MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
+
+
+class ClaimFailed(ArithmeticError):
+    """A fact a certificate states does not hold; claim names it.
+
+    An exception rather than an assert, so `python -O` keeps the check.
+    """
+
+    def __init__(self, claim: str):
+        super().__init__(f"claim failed: {claim}")
+        self.claim = claim
 
 
 class ScanContradictsTable(RuntimeError):
@@ -190,11 +206,6 @@ def _int(s) -> int:
     return int(s)
 
 
-def _keys(section) -> Optional[list]:
-    """The keys of a JSON object in order; None for any other value."""
-    return list(section) if isinstance(section, dict) else None
-
-
 def _field_json(field: Field) -> list:
     return [str(field.p), str(field.k), [str(c) for c in field.modulus]]
 
@@ -203,20 +214,8 @@ def _mat_json(mat: Mat) -> list:
     return [[str(e) for e in row] for row in mat.rows]
 
 
-def _poly_json(f: Poly) -> list:
-    return [str(c) for c in f.coeffs]
-
-
-def _verdict_word(v: Verdict) -> str:
-    return "irreducible" if v.irreducible else "reducible"
-
-
-def _witness_json(check: str, v: Verdict) -> dict:
-    return {
-        "check": check,
-        "side": v.side,
-        "basis": [[str(c) for c in vec] for vec in v.basis],
-    }
+def _poly_json(f: Optional[Poly]) -> Optional[list]:
+    return None if f is None else [str(c) for c in f.coeffs]
 
 
 def _scan_json(q: int) -> list:
@@ -256,6 +255,12 @@ def _assumption_lines(tag: str, n: int, q: int, Q: int,
 
 
 # ---------------------------------------------------------------------------
+# The certificate, section by section: certify emits it, verify compares.
+
+
+def _prove(fact: bool, claim: str) -> None:
+    if not fact:
+        raise ClaimFailed(claim)
 
 
 def _has_prime_order(a: Mat, r: int) -> bool:
@@ -272,77 +277,121 @@ def _has_order(a: Mat, N: int, factors) -> bool:
         return False
 
 
-def certify(n: int, q: int, seed: int = 0) -> dict:
-    """Build the pair for (n, q) and record every checked fact about it."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if q.bit_length() > MAX_Q_BITS:
-        raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
-    pair = build(n, q)
-    field = pair.field
-    x, y, z = pair.x, pair.y, pair.z
-    if not (_has_prime_order(x, 2) and _has_prime_order(y, 3)
-            and _has_order(z, pair.Q, pair.Q_factors)):
-        raise ArithmeticError(f"x, y, x*y do not have orders 2, 3, {pair.Q}")
-    cp = z.charpoly()
-    if pair.tag == "special":
-        expected = None
-    elif pair.tag == "sl11":
-        expected = pair.l
-        if gcd(6, pair.Q) != 1:
-            raise ArithmeticError(f"Q = {pair.Q} is not prime to 6")
-    else:
-        expected = Poly.x_minus(field, field.inv(pair.alphas[-1])) * pair.f
-    if expected is not None and cp != expected:
-        raise ArithmeticError("characteristic polynomial of x*y is not the target")
-    scan = scan_lines(x, y)
-    mx = is_irreducible_module([x, y], seed=seed)
+def _is_factorization(Q: int, fs) -> bool:
+    """fs lists ascending primes r with exponents e whose product is Q.
 
-    construction: dict = {"tag": pair.tag}
-    if pair.tag == "special":
-        for w in pair.words:
-            if eval_word(w.letters, x, y).order() != w.claimed_order:
-                raise ArithmeticError(f"word {w.letters} does not have order {w.claimed_order}")
+    r**e >= 2**(e * (bitlen(r) - 1)), so every true factor passes the
+    exponent bound, and the bound keeps each power below 2**(2 * bitlen(Q))
+    before it is taken.  is_prime runs last."""
+    bits = Q.bit_length()
+    return (all(r1 < r2 for (r1, _), (r2, _) in zip(fs, fs[1:]))
+            and all(1 <= e and e * max(r.bit_length() - 1, 1) <= bits for r, e in fs)
+            and prod(r**e for r, e in fs) == Q
+            and all(is_prime(r) for r, _ in fs))
+
+
+_ORDERS = {"x": "order of x", "y": "order of y", "z": "order of z"}
+_CHARPOLY = {"z": "characteristic polynomial", "expected": "expected charpoly"}
+_IRREDUCIBILITY = {"scan": "scan verdict", "meataxe": "meataxe verdict",
+                   "seed": "seed consistency"}
+
+
+def _sections(pair: GenPair, seed: int):
+    """Yield the certificate of pair as (key, value, claim), in key order.
+
+    pair carries the facts a certificate states but cannot recompute; every
+    other value is derived here.  claim names what a differing value breaks:
+    one name, or a dict with one name per entry of a dict value.  Each
+    section is yielded before the facts behind it are proved, and a fact
+    that does not hold raises ClaimFailed.  So certify, which takes every
+    section, runs every check, and verify, which stops at the first section
+    that differs, skips the proofs after it.
+    """
+    n, q, field, tag, Q, fs = pair.n, pair.q, pair.field, pair.tag, pair.Q, pair.Q_factors
+    x, y = pair.x, pair.y
+    yield "version", VERSION, "version"
+    yield "n", str(n), "construction tag"
+    yield "q", str(q), "q size"
+    yield "p", str(field.p), "prime power decomposition"
+    yield "m", str(field.k), "prime power decomposition"
+    construction: dict = {"tag": tag}
+    if tag == "special":
         construction["words"] = [
             {"letters": list(w.letters), "order": str(w.claimed_order)}
             for w in pair.words
         ]
         construction["prime_pair"] = [str(v) for v in pair.coprime_claim]
+    yield "construction", construction, "construction shape"
+    yield "field", _field_json(field), "field descriptor"
+    yield "matrices", {"x": _mat_json(x), "y": _mat_json(y)}, "schema key order"
+    _prove(x.det() == 1 and y.det() == 1, "determinant one")
 
-    cert = {
-        "version": VERSION,
-        "n": str(n),
-        "q": str(q),
-        "p": str(field.p),
-        "m": str(field.k),
-        "construction": construction,
-        "field": _field_json(field),
-        "matrices": {"x": _mat_json(x), "y": _mat_json(y)},
-        "Q": str(pair.Q),
-        "Q_factors": [[str(r), str(e)] for r, e in pair.Q_factors],
-        "orders": {"x": "2", "y": "3", "z": str(pair.Q)},
-        "charpoly": {
-            "z": _poly_json(cp),
-            "expected": None if expected is None else _poly_json(expected),
-        },
-    }
-    if pair.alphas is not None:
-        cert["alphas"] = [str(a) for a in pair.alphas]
-    if pair.deltas is not None:
-        cert["deltas"] = [str(v) for v in pair.deltas]
-    irr = {"scan": _verdict_word(scan), "meataxe": _verdict_word(mx),
-           "seed": str(seed)}
-    if not scan.irreducible:
-        irr["witness"] = _witness_json("scan", scan)
-    elif not mx.irreducible:
-        irr["witness"] = _witness_json("meataxe", mx)
-    cert["irreducibility"] = irr
-    if n == 11:
-        cert["maxsub_scan"] = _scan_json(q)
-    cert["assumptions"] = _assumption_lines(pair.tag, n, q, pair.Q,
-                                            pair.coprime_claim)
-    cert["seed"] = str(seed)
-    return cert
+    yield "Q", str(Q), "Q value"
+    yield "Q_factors", [[str(r), str(e)] for r, e in fs], "Q factorization"
+    _prove(_is_factorization(Q, fs), "Q factorization")
+    yield "orders", {"x": "2", "y": "3", "z": str(Q)}, _ORDERS
+    _prove(_has_prime_order(x, 2), "order of x")
+    _prove(_has_prime_order(y, 3), "order of y")
+    _prove(_has_order(pair.z, Q, fs), "order of z")
+    if tag != "special":
+        _prove(Q == target_order(n, q), "Q value")
+    if tag == "sl11":
+        _prove(gcd(6, Q) == 1, "gcd(6, Q)")
+
+    cp = pair.z.charpoly()
+    expected = None
+    if tag == "sl11":
+        deltas = pair.deltas
+        _prove(len(deltas) == 10 and all(v < field.order for v in deltas), "delta list")
+        expected = charpoly_from_deltas(field, deltas)
+    elif tag != "special":
+        alphas = pair.alphas
+        _prove(len(alphas) == n - 1 and all(a < field.order for a in alphas)
+               and alphas[-1] != 0, "alpha list")
+        f = from_signed_coeffs(field, alphas)
+        expected = Poly.x_minus(field, field.inv(alphas[-1])) * f
+    yield "charpoly", {"z": _poly_json(cp), "expected": _poly_json(expected)}, _CHARPOLY
+    _prove(expected is None or expected == cp, "charpoly identity")
+    if tag == "sl11":
+        yield "deltas", [str(v) for v in deltas], "delta list"
+        _prove(deltas_from_min_poly(field, read_degree11(expected)) == tuple(deltas),
+               "delta assignment")
+    elif tag != "special":
+        yield "alphas", [str(a) for a in alphas], "alpha list"
+        _prove(is_irreducible(f), "irreducibility of f")
+
+    yield "irreducibility", {"scan": "irreducible", "meataxe": "irreducible",
+                             "seed": str(seed)}, _IRREDUCIBILITY
+    _prove(scan_lines(x, y).irreducible, "scan verdict")
+    try:
+        irreducible = is_irreducible_module([x, y], seed=seed).irreducible
+    except InconclusiveAfterRetries:
+        irreducible = False
+    _prove(irreducible, "meataxe verdict")
+    for w in pair.words:
+        _prove(eval_word(w.letters, x, y).order() == w.claimed_order, "witness word order")
+    if tag == "special":
+        pp = pair.coprime_claim
+        _prove(len(pp) == 2 and pp[0] != pp[1] and all(map(is_prime, pp)), "prime pair")
+        reached = lcm(Q, *(w.claimed_order for w in pair.words))
+        _prove(all(reached % v == 0 for v in pp), "prime pair divides group order")
+
+    if tag == "sl11":
+        yield "maxsub_scan", _scan_json(q), "maxsub table"
+    yield "assumptions", _assumption_lines(tag, n, q, Q, pair.coprime_claim), "assumptions"
+    yield "seed", str(seed), "seed consistency"
+
+
+def certify(n: int, q: int, seed: int = 0) -> dict:
+    """Build the pair for (n, q) and record every fact about it.
+
+    Runs every check verify runs; a fact that fails raises ClaimFailed.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if q.bit_length() > MAX_Q_BITS:
+        raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
+    return {key: value for key, value, _ in _sections(build(n, q), seed)}
 
 
 def dumps(cert: dict) -> str:
@@ -367,9 +416,14 @@ class VerifyResult:
 def verify(cert) -> VerifyResult:
     """Recompute every claim of a certificate from its matrices alone."""
     try:
-        return _verify(cert)
+        _verify(cert)
+    except ClaimFailed as exc:
+        return VerifyResult(False, exc.claim)
+    except ScanContradictsTable:
+        return VerifyResult(False, "divisibility scan")
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         return VerifyResult(False, f"malformed certificate ({exc})")
+    return VerifyResult(True, None)
 
 
 def _parse_mat(field: Field, rows_json, n: int) -> Mat:
@@ -386,195 +440,60 @@ def _parse_mat(field: Field, rows_json, n: int) -> Mat:
     return Mat(field, rows)
 
 
-def _verify(cert: dict) -> VerifyResult:
-    def no(claim: str) -> VerifyResult:
-        return VerifyResult(False, claim)
+def _same(a, b) -> bool:
+    """JSON equality that keeps key order and tells true from 1."""
+    if type(a) is not type(b) or a != b:
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):  # a string equals only a string
+        return set(map(type, a)) == {str} or all(map(_same, a, b))
+    return True
 
-    if not isinstance(cert, dict) or cert.get("version") != VERSION:
-        return no("version")
-    n = _int(cert["n"])
-    q = _int(cert["q"])
-    if q.bit_length() > MAX_Q_BITS:
-        return no("q size")
-    p = _int(cert["p"])
-    m = _int(cert["m"])
-    if prime_power_decompose(q) != (p, m):
-        return no("prime power decomposition")
 
-    tag = cert["construction"]["tag"]
-    if n not in (9, 10, 11) or tag != coverage(n, q):
-        return no("construction tag")
-    generic = tag in ("generic9", "generic10")
+def _mismatch(value, got, claim) -> Optional[str]:
+    """The claim that section `got` breaks, or None if it equals value."""
+    if isinstance(claim, str):
+        return None if _same(value, got) else claim
+    if not isinstance(got, dict):
+        return "schema key order"
+    for k in value:
+        if k not in got or not _same(value[k], got[k]):
+            return claim[k]
+    return None if list(got) == list(value) else "schema key order"
 
-    keys = ["version", "n", "q", "p", "m", "construction", "field", "matrices",
-            "Q", "Q_factors", "orders", "charpoly"]
-    if generic:
-        keys.append("alphas")
-    elif tag == "sl11":
-        keys.append("deltas")
-    keys.append("irreducibility")
-    if tag == "sl11":
-        keys.append("maxsub_scan")
-    keys += ["assumptions", "seed"]
-    if _keys(cert) != keys:
-        return no("schema key order")
-    ckeys = ["tag", "words", "prime_pair"] if tag == "special" else ["tag"]
-    if _keys(cert["construction"]) != ckeys:
-        return no("construction shape")
-    if _keys(cert["matrices"]) != ["x", "y"]:
-        return no("schema key order")
-    if _keys(cert["orders"]) != ["x", "y", "z"]:
-        return no("schema key order")
-    if _keys(cert["charpoly"]) != ["z", "expected"]:
-        return no("schema key order")
 
-    fd = cert["field"]
-    if not isinstance(fd, list) or len(fd) != 3:
-        return no("field descriptor")
-    if _int(fd[0]) != p or _int(fd[1]) != m:
-        return no("field descriptor")
+def _verify(cert) -> None:
+    """Parse the facts a certificate states, then walk _sections with it."""
+    _prove(isinstance(cert, dict) and cert.get("version") == VERSION, "version")
+    n, q = _int(cert["n"]), _int(cert["q"])
+    _prove(q.bit_length() <= MAX_Q_BITS, "q size")
+    p, m = _int(cert["p"]), _int(cert["m"])
+    _prove(prime_power_decompose(q) == (p, m), "prime power decomposition")
+    construction = cert["construction"]
+    tag = construction["tag"]
+    _prove(n in (9, 10, 11) and tag == coverage(n, q), "construction tag")
+
     field = make_field(p, m)
-    if [_int(c) for c in fd[2]] != list(field.modulus):
-        return no("field descriptor")
-
     x = _parse_mat(field, cert["matrices"]["x"], n)
     y = _parse_mat(field, cert["matrices"]["y"], n)
-    if x.det() != 1 or y.det() != 1:
-        return no("determinant one")
-    if not _has_prime_order(x, 2) or _int(cert["orders"]["x"]) != 2:
-        return no("order of x")
-    if not _has_prime_order(y, 3) or _int(cert["orders"]["y"]) != 3:
-        return no("order of y")
-    z = x * y
-    Q = _int(cert["Q"])
-    if _int(cert["orders"]["z"]) != Q:
-        return no("order of z")
-
-    fs = [(_int(r), _int(e)) for r, e in cert["Q_factors"]]
-    if any(r2 <= r1 for (r1, _), (r2, _) in zip(fs, fs[1:])):
-        return no("Q factorization")
-    if any(not is_prime(r) or e < 1 for r, e in fs):
-        return no("Q factorization")
-    if prod(r**e for r, e in fs) != Q:
-        return no("Q factorization")
-    if not _has_order(z, Q, fs):
-        return no("order of z")
-
-    if generic and Q != target_order(n, q):
-        return no("Q value")
-    if tag == "sl11":
-        if Q != (q**11 - 1) // (q - 1):
-            return no("Q value")
-        if gcd(6, Q) != 1:
-            return no("gcd(6, Q)")
-
-    cp = z.charpoly()
-    if cert["charpoly"]["z"] != _poly_json(cp):
-        return no("characteristic polynomial")
-    exp_json = cert["charpoly"]["expected"]
-    if generic:
-        alphas = [_int(a) for a in cert["alphas"]]
-        if len(alphas) != n - 1 or any(a >= field.order for a in alphas):
-            return no("alpha list")
-        f = from_signed_coeffs(field, alphas)
-        if not is_irreducible(f):
-            return no("irreducibility of f")
-        expected = Poly.x_minus(field, field.inv(alphas[-1])) * f
-        if exp_json != _poly_json(expected):
-            return no("expected charpoly")
-        if expected != cp:
-            return no("charpoly identity")
-    elif tag == "sl11":
-        deltas = [_int(v) for v in cert["deltas"]]
-        if len(deltas) != 10 or any(v >= field.order for v in deltas):
-            return no("delta list")
-        if not isinstance(exp_json, list):
-            return no("expected charpoly")
-        coeffs = [_int(c) for c in exp_json]
-        if any(c >= field.order for c in coeffs):
-            return no("expected charpoly")
-        expected = Poly(field, coeffs)
-        if _poly_json(expected) != exp_json:
-            return no("expected charpoly")
-        try:
-            ten = read_degree11(expected)
-        except WrongShape:
-            return no("expected charpoly")
-        if list(deltas_from_min_poly(field, ten)) != deltas:
-            return no("delta assignment")
-        if charpoly_from_deltas(field, deltas) != cp:
-            return no("closed-form charpoly")
-        if expected != cp:
-            return no("charpoly identity")
-    else:
-        if exp_json is not None:
-            return no("expected charpoly")
-
-    irr = cert["irreducibility"]
-    if _keys(irr) not in (["scan", "meataxe", "seed"],
-                     ["scan", "meataxe", "seed", "witness"]):
-        return no("schema key order")
-    seed = _int(irr["seed"])
-    if _int(cert["seed"]) != seed:
-        return no("seed consistency")
-    scan = scan_lines(x, y)
-    if irr["scan"] != _verdict_word(scan):
-        return no("scan verdict")
-    try:
-        mx = is_irreducible_module([x, y], seed=seed)
-    except InconclusiveAfterRetries:
-        return no("meataxe verdict")
-    if irr["meataxe"] != _verdict_word(mx):
-        return no("meataxe verdict")
-    if scan.irreducible and mx.irreducible:
-        if "witness" in irr:
-            return no("witness invariance")
-    else:
-        w = irr.get("witness")
-        if not isinstance(w, dict) or w.get("check") not in ("scan", "meataxe"):
-            return no("witness invariance")
-        if w.get("side") not in ("natural", "dual"):
-            return no("witness invariance")
-        basis = [[_int(c) for c in vec] for vec in w["basis"]]
-        if not basis or len(basis) >= n:
-            return no("witness invariance")
-        space = RowSpace(field, n)
-        for vec in basis:
-            if len(vec) != n or any(c >= field.order for c in vec):
-                return no("witness invariance")
-            space.add(vec)
-        if space.dim == 0 or space.dim >= n:
-            return no("witness invariance")
-        gens = (x, y) if w["side"] == "natural" else (x.T, y.T)
-        for vec in basis:
-            if not all(space.contains(g.apply(vec)) for g in gens):
-                return no("witness invariance")
-
-    if tag == "sl11":
-        try:
-            report = _scan_json(q)
-        except ScanContradictsTable:
-            return no("divisibility scan")
-        if cert["maxsub_scan"] != report:
-            return no("maxsub table")
-
-    prime_pair = None
     if tag == "special":
-        word_orders = []
-        for wj in cert["construction"]["words"]:
-            word = check_word(wj["letters"])
-            claimed = _int(wj["order"])
-            if eval_word(word, x, y).order() != claimed:
-                return no("witness word order")
-            word_orders.append(claimed)
-        pp = [_int(v) for v in cert["construction"]["prime_pair"]]
-        if len(pp) != 2 or pp[0] == pp[1] or not all(is_prime(v) for v in pp):
-            return no("prime pair")
-        reached = lcm(Q, *word_orders)
-        if any(reached % v for v in pp):
-            return no("prime pair divides group order")
-        prime_pair = (pp[0], pp[1])
-
-    if cert["assumptions"] != _assumption_lines(tag, n, q, Q, prime_pair):
-        return no("assumptions")
-    return VerifyResult(True, None)
+        stated = {
+            "words": tuple(Witness(check_word(w["letters"]), _int(w["order"]))
+                           for w in construction["words"]),
+            "coprime_claim": tuple(_int(v) for v in construction["prime_pair"]),
+        }
+    elif tag == "sl11":
+        stated = {"deltas": tuple(_int(v) for v in cert["deltas"])}
+    else:
+        stated = {"alphas": tuple(_int(a) for a in cert["alphas"])}
+    pair = GenPair(n=n, q=q, field=field, x=x, y=y, tag=tag,
+                   Q=_int(cert["Q"]),
+                   Q_factors=tuple((_int(r), _int(e)) for r, e in cert["Q_factors"]),
+                   **stated)
+    for section, key in zip_longest(_sections(pair, _int(cert["seed"])), cert):
+        _prove(section is not None and section[0] == key, "schema key order")
+        _, value, claim = section
+        wrong = _mismatch(value, cert[key], claim)
+        if wrong:
+            raise ClaimFailed(wrong)

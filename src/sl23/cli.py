@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .arith import NotPrimePower, prime_power_decompose
 from .certify import (
+    ClaimFailed,
     ScanContradictsTable,
     certify,
     dumps,
@@ -181,7 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             NotSpecialCase) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScanContradictsTable as exc:
+    except (ClaimFailed, ScanContradictsTable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

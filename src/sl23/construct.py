@@ -20,7 +20,7 @@ each transcription is audited in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .arith import factor, order_from_bound, prime_power_decompose
@@ -58,7 +58,6 @@ class GenPair:
     field: Field
     x: Mat
     y: Mat
-    z: Mat
     tag: str
     Q: int
     Q_factors: tuple[tuple[int, int], ...]
@@ -68,6 +67,11 @@ class GenPair:
     l: Optional[Poly] = None
     words: tuple[Witness, ...] = ()
     coprime_claim: Optional[tuple[int, int]] = None
+
+    @cached_property
+    def z(self) -> Mat:
+        """The product x*y, built to have order Q; computed on first use."""
+        return self.x * self.y
 
 
 def target_order(n: int, q: int) -> int:
@@ -210,7 +214,7 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     x = _parse_grid(small, _X9 if n == 9 else _X10, symbols)
     y = _parse_grid(small, _Y9 if n == 9 else _Y10, {})
     return GenPair(
-        n=n, q=q, field=small, x=x, y=y, z=x * y,
+        n=n, q=q, field=small, x=x, y=y,
         tag=f"generic{n}", Q=Q, Q_factors=Qf, alphas=alphas, f=f,
     )
 
@@ -405,7 +409,7 @@ def build_special(n: int, q: int) -> GenPair:
     y = _parse_grid(field, data["y"], symbols)
     Q = data["z_order"]
     return GenPair(
-        n=n, q=q, field=field, x=x, y=y, z=x * y,
+        n=n, q=q, field=field, x=x, y=y,
         tag="special", Q=Q, Q_factors=tuple(factor(Q)),
         words=(
             Witness(("x", "y"), Q),
@@ -504,7 +508,7 @@ def build_sl11(q: int) -> GenPair:
     x = _parse_grid(small, _X11, {})
     y = _parse_grid(small, _Y11, symbols)
     return GenPair(
-        n=11, q=q, field=small, x=x, y=y, z=x * y,
+        n=11, q=q, field=small, x=x, y=y,
         tag="sl11", Q=Q, Q_factors=Qf,
         deltas=deltas, l=l,
     )

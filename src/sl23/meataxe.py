@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .ff import element_of_order
 from .matrix import Mat, RowSpace, kernel
 from .poly import Poly, factor_degree_components, pow_mod
 
@@ -110,13 +111,17 @@ def scan_lines(x: Mat, y: Mat) -> Verdict:
 
     Any one-dimensional invariant subspace is spanned by a w with
     y w = lambda w, x w = nu w where lambda cubes and nu squares to 1;
-    all such (lambda, nu) are enumerated and each eigenspace intersection
+    the at most three cube roots and two square roots of 1 are taken
+    directly, in ascending code order, and each eigenspace intersection
     is computed exactly.  A hit on the transposed side certifies an
     invariant hyperplane of the natural module.
     """
     n, field = _check_gens([x, y])
-    lambdas = [c for c in range(1, field.order) if field.pow(c, 3) == 1]
-    nus = [c for c in range(1, field.order) if field.pow(c, 2) == 1]
+    lambdas = [1]
+    if (field.order - 1) % 3 == 0:
+        w = element_of_order(field, 3, [(3, 1)])
+        lambdas = sorted([1, w, field.mul(w, w)])
+    nus = sorted({1, field.neg(1)})
 
     def minus(a: Mat, c: int) -> list:  # the rows of a - c*I
         return [[field.sub(e, c) if i == j else e for j, e in enumerate(row)]

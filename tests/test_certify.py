@@ -6,6 +6,7 @@ with a meaningful failed-claim name.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import pytest
 from sl23.arith import factor, is_prime
 from sl23.certify import (
     MAX_Q_BITS,
+    ClaimFailed,
     VerifyResult,
     certify,
     dumps,
@@ -28,6 +30,8 @@ from sl23.certify import (
     q_divisibility_scan,
     verify,
 )
+from sl23.construct import Witness, build_generic
+from sl23.meataxe import Verdict, scan_lines
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
 
@@ -237,6 +241,89 @@ def test_bad_factorization_fails_before_the_order_of_z(base):
     c["Q"] = c["orders"]["z"] = str(2 * int(base["Q"]))  # Q_factors give Q
     r = verify(c)
     assert not r.ok and r.failed_claim == "Q factorization"
+
+
+def test_huge_q_factor_exponent_fails_fast(base):
+    # 2**(10**8) alone takes most of a second and 57 MiB; the exponent is
+    # bounded before any power is taken
+    t0 = time.perf_counter()
+    r = tampered(base, ("Q_factors",), [["2", str(10**8)]])
+    assert time.perf_counter() - t0 < 0.1
+    assert r == VerifyResult(False, "Q factorization")
+
+
+def test_reducible_verdict_is_a_failed_claim(monkeypatch):
+    # the raw (10, 3) instantiation has an invariant line, yet x*y has order
+    # 3^9 - 1 = 2 * 13 * 757: labelled special with the prime pair (13, 757)
+    # it passes every check except irreducibility
+    raw = build_generic(10, 3, unchecked=True)
+    pair = dataclasses.replace(raw, tag="special", alphas=None, f=None,
+                               words=(Witness(("x", "y"), raw.Q),),
+                               coprime_claim=(13, 757))
+    monkeypatch.setattr("sl23.certify.build", lambda n, q: pair)
+    with pytest.raises(ClaimFailed, match="scan verdict"):
+        certify(10, 3)
+    irreducible = Verdict(irreducible=True)
+    monkeypatch.setattr("sl23.certify.scan_lines", lambda x, y: irreducible)
+    monkeypatch.setattr("sl23.certify.is_irreducible_module",
+                        lambda gens, seed: irreducible)
+    cert = certify(10, 3)
+    monkeypatch.undo()
+    assert verify(cert) == VerifyResult(False, "scan verdict")
+    # a reducible verdict with its invariant-line witness fails the same way
+    line = scan_lines(raw.x, raw.y)
+    cert["irreducibility"] = {
+        "scan": "reducible", "meataxe": "reducible", "seed": "0",
+        "witness": {"check": "scan", "side": line.side,
+                    "basis": [[str(c) for c in vec] for vec in line.basis]},
+    }
+    assert verify(cert) == VerifyResult(False, "scan verdict")
+
+
+def test_early_exits_skip_the_module_checks(monkeypatch):
+    # the early and mid tampers of the benchmark's verify corpus fail
+    # before either irreducibility check runs
+    cert = certify(9, 17)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an irreducibility check ran")
+
+    monkeypatch.setattr("sl23.certify.scan_lines", unreachable)
+    monkeypatch.setattr("sl23.certify.is_irreducible_module", unreachable)
+    for name in ("x", "y"):
+        for i in range(9):
+            for j in range(9):
+                c = copy.deepcopy(cert)
+                row = c["matrices"][name][i]
+                row[j] = str((int(row[j]) + 1) % 17)
+                r = verify(c)
+                assert r.failed_claim in ("determinant one", "order of x",
+                                          "order of y"), (name, i, j, r)
+    r = tampered(cert, ("orders", "z"), str(int(cert["orders"]["z"]) + 1))
+    assert r == VerifyResult(False, "order of z")
+    r = tampered(cert, ("irreducibility", "seed"), "1")
+    assert r == VerifyResult(False, "seed consistency")
+
+
+@pytest.mark.parametrize("tag,n,q", [("generic9", 9, 3), ("generic10", 10, 5),
+                                     ("special", 10, 3), ("sl11", 11, 2)])
+def test_schema_mutations_fail_with_a_named_claim(tag, n, q):
+    cert = certify(n, q)
+    assert cert["construction"]["tag"] == tag
+    keys = list(cert)
+
+    def reordered(order, extra=()):
+        return dict([(k, cert[k]) for k in order] + list(extra))
+
+    for i, key in enumerate(keys):
+        r = verify(reordered(keys[:i] + keys[i + 1:]))
+        assert not r.ok and r.failed_claim, ("delete", key)
+        if i + 1 < len(keys):
+            swapped = keys[:i] + [keys[i + 1], key] + keys[i + 2:]
+            assert verify(reordered(swapped)) == VerifyResult(
+                False, "schema key order"), ("swap", key)
+    assert verify(reordered(keys, [("extra", "x")])) == VerifyResult(
+        False, "schema key order")
 
 
 GENERIC_AND_SL11 = ([(9, q) for q in (3, 5, 7, 8, 9, 11, 13, 16)]
