@@ -202,7 +202,9 @@ _CANONICAL_INT = re.compile("0|[1-9][0-9]*")
 
 def _int(s) -> int:
     if not isinstance(s, str) or not _CANONICAL_INT.fullmatch(s):
-        raise ValueError(f"expected a canonical decimal string, got {s!r}")
+        # anything but a str is named by its type: a deep list has no repr
+        shown = repr(s) if isinstance(s, str) else f"a {type(s).__name__}"
+        raise ValueError(f"expected a canonical decimal string, got {shown}")
     return int(s)
 
 

@@ -76,7 +76,8 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             cert = loads(fh.read())
-    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an over-long integer, or nesting too deep to decode
         print(f"FAILED: not valid JSON ({exc})")
         return 1
     result = verify(cert)

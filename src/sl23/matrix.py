@@ -1,9 +1,9 @@
-"""Exact dense matrices over a Field, plus the linear algebra the package
-needs: determinants, characteristic polynomials (Hessenberg reduction, no
-fractions ever leave the field), minimal polynomials by Krylov spins, exact
-orders in GL_n as orders of t in poly.Ring over GF(p) modulo the lcm of
-the minimal polynomial's Frobenius conjugates (Celler & Leedham-Green
-1997), kernels, row spaces for spinning, and words in x, y.
+"""Exact dense matrices over a Field and the linear algebra the package
+needs.  One row reduction, RowSpace, feeds kernels, determinants, Krylov
+spins and minimal polynomials (Neunhoeffer & Praeger 2008); Hessenberg
+reduction, used only for characteristic polynomials, keeps every fraction
+in the field.  Orders in GL_n are orders of t in poly.Ring over GF(p)
+modulo the lcm of m_A's Frobenius conjugates (Celler & Leedham-Green 1997).
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
@@ -99,23 +99,19 @@ class Mat:
         return tuple(dot(row, vec) for row in self.rows)
 
     def det(self) -> int:
-        """Determinant by Gaussian elimination with first-nonzero pivoting."""
-        f, n, a = self.field, self.n, [list(r) for r in self.rows]
-        sign_flips, d = 0, 1
-        for j in range(n):
-            piv = next((i for i in range(j, n) if a[i][j] != 0), None)
-            if piv is None:
+        """0 at the first row that does not enlarge a RowSpace, else the
+        product of the pivot entries add returns, negated if the pivot list
+        has an odd number of inversions: reduced by earlier rows and sorted by
+        pivot, the rows are triangular with the same determinant."""
+        f, space, d = self.field, RowSpace(self.field, self.n), 1
+        for row in self.rows:
+            c = space.add(row)
+            if not c:
                 return 0
-            if piv != j:
-                a[j], a[piv] = a[piv], a[j]
-                sign_flips ^= 1
-            d = f.mul(d, a[j][j])
-            inv_p = f.inv(a[j][j])
-            for i in range(j + 1, n):
-                c = a[i][j]
-                if c:
-                    a[i] = f.axpy(f.neg(f.mul(c, inv_p)), a[i], a[j])
-        return f.neg(d) if sign_flips else d
+            d = f.mul(d, c)
+        pv = space.pivots
+        odd = sum(a > b for i, a in enumerate(pv) for b in pv[i + 1:]) % 2
+        return f.neg(d) if odd else d
 
     def charpoly(self) -> Poly:
         """det(t*I - A), computed exactly via Hessenberg reduction."""
@@ -233,61 +229,36 @@ class RowSpace:
                 v = f.axpy(f.neg(c), v, row)
         return v
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """True if vec enlarged the space."""
+    def add(self, vec: Sequence[int]) -> int:
+        """The pivot entry of vec reduced by the basis, before it is scaled
+        to 1: nonzero, so true, iff vec enlarged the space, else 0."""
         v = self._reduce(vec)
         piv = next((i for i, c in enumerate(v) if c), None)
         if piv is None:
-            return False
-        inv = self.field.inv(v[piv])
-        self.echelon.append(tuple(self.field.mul(inv, c) for c in v))
+            return 0
+        f = self.field  # v scaled to pivot 1 by the row kernel, as 0 + c * v
+        self.echelon.append(tuple(f.axpy(f.inv(v[piv]), (0,) * len(v), v)))
         self.pivots.append(piv)
-        return True
+        return v[piv]
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self._reduce(vec))
 
 
 def kernel(field: Field, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {v : M v = 0} of an m x n matrix.
-
-    Basis vectors are in the canonical order given by ascending free
-    column index, each with a 1 in its free position.
-    """
+    """A basis of the right kernel {v : M v = 0} of an m x n matrix: each
+    column col_j of M goes into a RowSpace as [col_j | e_j], and an echelon
+    row whose pivot lies in the tag is [0 | c] with M c = 0.  There are
+    n - rank M such rows, and their tags are independent."""
     if not rows:
         raise WrongShape("kernel of an empty matrix")
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
+    n, m = len(rows[0]), len(rows)
+    if any(len(r) != n for r in rows):
         raise WrongShape("ragged matrix")
-    m = len(a)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(n):
-        piv = next((i for i in range(prow, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[prow], a[piv] = a[piv], a[prow]
-        inv = field.inv(a[prow][col])
-        a[prow] = [field.mul(inv, c) for c in a[prow]]
-        for i in range(m):
-            if i != prow and a[i][col]:
-                a[i] = field.axpy(field.neg(a[i][col]), a[i], a[prow])
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for prow_, pcol in pivots:
-            v[pcol] = field.neg(a[prow_][free])
-        basis.append(tuple(v))
-    return basis
+    space = RowSpace(field, m + n)
+    for j, col in enumerate(zip(*rows)):
+        space.add(col + tuple(int(i == j) for i in range(n)))
+    return [row[m:] for row, piv in zip(space.echelon, space.pivots) if piv >= m]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +275,9 @@ def check_word(word: Sequence[str]) -> tuple[str, ...]:
         raise ValueError("empty generator word")
     for letter in w:
         if letter not in WORD_LETTERS:
-            raise ValueError(f"unknown word letter {letter!r}")
+            # anything but a str is named by its type: a deep list has no repr
+            shown = repr(letter) if isinstance(letter, str) else f"of type {type(letter).__name__}"
+            raise ValueError(f"unknown word letter {shown}")
     for a, b in zip(w, w[1:]):
         if (a == "x") == (b == "x"):
             raise ValueError(f"word is not normalized at {a!r} {b!r}")

@@ -425,6 +425,27 @@ def test_non_canonical_integers_are_rejected(c11):
         assert not tampered(c11, ("q",), bad).ok, bad
 
 
+def deeply_nested_list(depth=100_000):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+@pytest.mark.parametrize("fixture,path", [
+    ("base", ("n",)),
+    ("base", ("matrices", "x", 0, 0)),
+    ("base", ("Q_factors", 0, 0)),
+    ("base", ("seed",)),
+    ("base", ("alphas", 0)),
+    ("c103", ("construction", "words", 0, "letters", 0)),
+])
+def test_deeply_nested_value_is_malformed(request, fixture, path):
+    # a list too deep to repr or compare recursively
+    r = tampered(request.getfixturevalue(fixture), path, deeply_nested_list())
+    assert not r.ok and r.failed_claim.startswith("malformed certificate"), r
+
+
 def test_huge_prime_power_q_is_a_failed_claim(base):
     # the first prime above 10**160, squared: too large for a float root
     p = 10**160 + 1

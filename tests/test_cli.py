@@ -110,9 +110,11 @@ def test_verify_invalid_json(tmp_path, capsys):
     assert out.startswith("FAILED: not valid JSON")
 
 
-@pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"1" * 5000])
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"1" * 5000,
+                                  pytest.param(b"[" * 100000, id="deep")])
 def test_verify_undecodable_file(tmp_path, capsys, data):
-    # bytes that are not UTF-8, and an integer past Python's digit limit
+    # bytes that are not UTF-8, an integer past Python's digit limit, and
+    # nesting deeper than the decoder's recursion limit
     path = tmp_path / "bad.json"
     path.write_bytes(data)
     rc, out, err = run(capsys, "verify", str(path))

@@ -1,5 +1,6 @@
 """Matrices over finite fields, checked against slow textbook oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -392,6 +393,60 @@ def test_kernel_and_rank():
         assert ind.add(v)
     # full-rank matrix has trivial kernel
     assert kernel(f5, [[1, 0], [1, 1]]) == []
+
+
+def all_vectors(f, n):
+    return list(itertools.product(range(f.order), repeat=n))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_kernel_matches_exhaustive_enumeration(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        cases = [[[0] * n for _ in range(m)]]
+        for density in (0.2, 0.5, 0.9, 0.5):
+            cases.append([[rng.randrange(1, f.order) if rng.random() < density else 0
+                           for _ in range(n)] for _ in range(m)])
+        for rows in cases:
+            null = [v for v in all_vectors(f, n)
+                    if all(f.dot(row, v) == 0 for row in rows)]
+            basis = kernel(f, rows)
+            assert f.order ** len(basis) == len(null), (m, n, rows)
+            assert all(tuple(v) in null for v in basis), (m, n, rows)
+            ind = RowSpace(f, n)
+            assert all(ind.add(v) for v in basis), (m, n, rows)
+
+
+def det_leibniz(m):
+    """Sum over permutations of the signed products.  Slow oracle."""
+    f, n, acc = m.field, m.n, 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.rows[i][j])
+        odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+        acc = f.add(acc, f.neg(term) if odd else term)
+    return acc
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3)])
+def test_det_matches_leibniz(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for n in range(1, 6):
+        for _ in range(6):
+            rows = [[rng.randrange(f.order) for _ in range(n)] for _ in range(n)]
+            perm = rng.sample(range(n), n)
+            cases = [rows, [rows[i] for i in perm],
+                     [[rng.randrange(1, f.order) if j == perm[i] else 0
+                       for j in range(n)] for i in range(n)]]
+            if n > 1:
+                c = rng.randrange(f.order)
+                cases.append(rows[:-1] + [f.axpy(c, rows[0], rows[-2])])
+            for case in cases:
+                m = Mat(f, case)
+                assert m.det() == det_leibniz(m), (n, case)
 
 
 def test_rowspace_membership():
