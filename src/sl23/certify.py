@@ -28,8 +28,8 @@ from typing import Optional
 
 from .arith import NotAnnihilated, factor, is_prime, prime_power_decompose
 from .construct import (
+    MAX_Q_BITS,
     GenPair,
-    OutOfRange,
     Witness,
     build,
     charpoly_from_deltas,
@@ -43,7 +43,6 @@ from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_lines
 from .poly import Poly, from_signed_coeffs, is_irreducible, read_degree11
 
 VERSION = "1"
-MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
 
 
 class ClaimFailed(ArithmeticError):
@@ -279,15 +278,18 @@ def _has_order(a: Mat, N: int, factors) -> bool:
         return False
 
 
-def _is_factorization(Q: int, fs) -> bool:
-    """fs lists ascending primes r with exponents e whose product is Q.
+def _is_factorization(Q: int, fs, qn: int) -> bool:
+    """fs lists ascending primes r with exponents e whose product is Q, and
+    each r**e is below qn = q**n, as every prime power dividing an element
+    order in GL_n(q) is.
 
     r**e >= 2**(e * (bitlen(r) - 1)), so every true factor passes the
     exponent bound, and the bound keeps each power below 2**(2 * bitlen(Q))
-    before it is taken.  is_prime runs last."""
+    before it is taken.  is_prime runs last, on primes below qn."""
     bits = Q.bit_length()
     return (all(r1 < r2 for (r1, _), (r2, _) in zip(fs, fs[1:]))
             and all(1 <= e and e * max(r.bit_length() - 1, 1) <= bits for r, e in fs)
+            and all(r**e < qn for r, e in fs)
             and prod(r**e for r, e in fs) == Q
             and all(is_prime(r) for r, _ in fs))
 
@@ -330,7 +332,7 @@ def _sections(pair: GenPair, seed: int):
 
     yield "Q", str(Q), "Q value"
     yield "Q_factors", [[str(r), str(e)] for r, e in fs], "Q factorization"
-    _prove(_is_factorization(Q, fs), "Q factorization")
+    _prove(_is_factorization(Q, fs, q**n), "Q factorization")
     yield "orders", {"x": "2", "y": "3", "z": str(Q)}, _ORDERS
     _prove(_has_prime_order(x, 2), "order of x")
     _prove(_has_prime_order(y, 3), "order of y")
@@ -374,7 +376,9 @@ def _sections(pair: GenPair, seed: int):
         _prove(eval_word(w.letters, x, y).order() == w.claimed_order, "witness word order")
     if tag == "special":
         pp = pair.coprime_claim
-        _prove(len(pp) == 2 and pp[0] != pp[1] and all(map(is_prime, pp)), "prime pair")
+        # every prime dividing |SL_n(q)| is below q**n: is_prime stays bounded
+        _prove(len(pp) == 2 and pp[0] != pp[1] and max(pp) < q**n
+               and all(map(is_prime, pp)), "prime pair")
         reached = lcm(Q, *(w.claimed_order for w in pair.words))
         _prove(all(reached % v == 0 for v in pp), "prime pair divides group order")
 
@@ -391,8 +395,6 @@ def certify(n: int, q: int, seed: int = 0) -> dict:
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if q.bit_length() > MAX_Q_BITS:
-        raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
     return {key: value for key, value, _ in _sections(build(n, q), seed)}
 
 

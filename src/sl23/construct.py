@@ -28,13 +28,15 @@ from .ff import Field, element_of_order, embed, make_field
 from .matrix import Mat
 from .poly import Poly, minimal_polynomial, read_degree11, signed_coeffs
 
+MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
+
 
 class UnsupportedN(ValueError):
     """Raised for dimensions this package does not construct."""
 
 
 class OutOfRange(ValueError):
-    """Raised for a q the generic construction excludes, or past certify.MAX_Q_BITS."""
+    """Raised for a q the generic construction excludes, or past MAX_Q_BITS."""
 
 
 class NotSpecialCase(ValueError):
@@ -532,6 +534,8 @@ def coverage(n: int, q: int) -> str:
 @lru_cache(maxsize=None)
 def build(n: int, q: int) -> GenPair:
     """Dispatch to the construction that covers (n, q)."""
+    if q.bit_length() > MAX_Q_BITS:
+        raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
     tag = coverage(n, q)
     if tag == "sl11":
         return build_sl11(q)

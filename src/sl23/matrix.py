@@ -1,9 +1,9 @@
 """Exact dense matrices over a Field and the linear algebra the package
-needs.  One row reduction, RowSpace, feeds kernels, determinants, Krylov
-spins and minimal polynomials (Neunhoeffer & Praeger 2008); Hessenberg
-reduction, used only for characteristic polynomials, keeps every fraction
-in the field.  Orders in GL_n are orders of t in poly.Ring over GF(p)
-modulo the lcm of m_A's Frobenius conjugates (Celler & Leedham-Green 1997).
+needs.  One row reduction, RowSpace, feeds kernels, determinants and one
+Krylov spin, from which minimal polynomials (Neunhoeffer & Praeger 2008)
+and characteristic polynomials (Keller-Gehrig 1985) are read.  Orders in
+GL_n are orders of t in poly.Ring over GF(p) modulo the lcm of m_A's
+Frobenius conjugates (Celler & Leedham-Green 1997).
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
@@ -113,59 +113,46 @@ class Mat:
         odd = sum(a > b for i, a in enumerate(pv) for b in pv[i + 1:]) % 2
         return f.neg(d) if odd else d
 
+    def _spin(self, v: tuple[int, ...], space: "RowSpace") -> Poly:
+        """The monic g of least degree with g(A) v in W, for the A-invariant
+        W that space spans in rows [w | 0] of length 2n + 1: A**k v goes in
+        as [A**k v | t**k] until a row reduces to [0 | g].  space is left
+        spanning W + <v, A v, ...> in the same form."""
+        n, zero = self.n, (0,) * (self.n + 1)
+        for tag in Mat.identity(self.field, n + 1).rows:
+            space.add(v + tag)
+            if space.pivots[-1] >= n:
+                break
+            v = self.apply(v)
+        space.pivots.pop()
+        g = Poly(self.field, space.echelon.pop()[n:]).monic()
+        space.echelon = [row[:n] + zero for row in space.echelon]
+        return g
+
     def charpoly(self) -> Poly:
-        """det(t*I - A), computed exactly via Hessenberg reduction."""
-        f = self.field
-        n = self.n
-        h = [list(r) for r in self.rows]
-        # similarity-reduce to upper Hessenberg form
-        for j in range(n - 2):
-            piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-            if piv is None:
-                continue
-            if piv != j + 1:
-                h[j + 1], h[piv] = h[piv], h[j + 1]
-                for row in h:
-                    row[j + 1], row[piv] = row[piv], row[j + 1]
-            inv_p = f.inv(h[j + 1][j])
-            for i in range(j + 2, n):
-                c = h[i][j]
-                if c:
-                    fct = f.mul(c, inv_p)
-                    h[i] = f.axpy(f.neg(fct), h[i], h[j + 1])
-                    # compensating column operation keeps the conjugacy class
-                    for row in h:
-                        row[j + 1] = f.add(row[j + 1], f.mul(fct, row[i]))
-        # charpolys of the leading minors by the last-column expansion
-        polys = [Poly.constant(f, 1)]
-        for i in range(1, n + 1):
-            acc = Poly.x_minus(f, h[i - 1][i - 1]) * polys[i - 1]
-            below = 1  # running product of subdiagonal entries
-            for m in range(1, i):
-                below = f.mul(below, h[i - m][i - m - 1])
-                coef = f.mul(h[i - m - 1][i - 1], below)
-                acc = acc - polys[i - m - 1].scale(coef)
-            polys.append(acc)
-        return polys[n]
+        """det(t*I - A) as the product of the g that _spin finds while W
+        grows from 0 to F^n (Keller-Gehrig 1985), each the characteristic
+        polynomial of A on one cyclic subquotient.  Each spin starts from
+        the first e_j whose j is not a pivot of W: reduction leaves such an
+        e_j unchanged, so it is not in W."""
+        f, n = self.field, self.n
+        cp, space = Poly.constant(f, 1), RowSpace(f, 2 * n + 1)
+        units = Mat.identity(f, n).rows
+        while space.dim < n:
+            j = next(j for j in range(n) if j not in space.pivots)
+            cp = cp * self._spin(units[j], space)
+        return cp
 
     def minpoly(self) -> Poly:
         """lcm of the local minimal polynomials of three dense vectors seeded
         from n, then of the unit vectors, up to degree n (Neunhoeffer & Praeger
         2008): each divides m_A and those of all e_i give m_A, so it is exact.
-        A**k v is reduced in a RowSpace of [vector | t**k]; a zero vector part
-        leaves v's polynomial."""
+        Each is _spin's g with W = 0."""
         f, n = self.field, self.n
-        m, units = Poly.constant(f, 1), Mat.identity(f, n + 1).rows
-        rng = random.Random(n)
+        m, rng = Poly.constant(f, 1), random.Random(n)
         dense = [tuple(rng.randrange(f.order) for _ in range(n)) for _ in range(3)]
-        for v in dense + [e[:n] for e in units[:n]]:
-            space = RowSpace(f, 2 * n + 1)
-            for k in range(n + 1):
-                space.add(v + units[k])
-                if space.pivots[-1] >= n:
-                    break
-                v = self.apply(v)
-            g = Poly(f, space.echelon[-1][n:]).monic()
+        for v in dense + list(Mat.identity(f, n).rows):
+            g = self._spin(v, RowSpace(f, 2 * n + 1))
             m = m * (g // m.gcd(g))
             if m.degree == n:
                 break

@@ -252,6 +252,49 @@ def test_huge_q_factor_exponent_fails_fast(base):
     assert r == VerifyResult(False, "Q factorization")
 
 
+def _stated_order_of_z(cert, Q, fs):
+    cert["Q"] = cert["orders"]["z"] = str(Q)
+    cert["Q_factors"] = [[str(r), str(e)] for r, e in fs]
+
+
+def _mersenne_q(cert):
+    # 2**4423 - 1 is prime; is_prime alone on it takes seconds
+    Q = 2**4423 - 1
+    _stated_order_of_z(cert, Q, [(Q, 1)])
+
+
+def _mersenne_prime_pair(cert):
+    cert["construction"]["prime_pair"] = [str(2**4423 - 1), "127"]
+
+
+def _order_two_z_with_huge_two_power(cert):
+    # z = x y has order 2, stated as 2**4000: order_from_bound would divide
+    # 2 out one power at a time
+    def diag2(block):
+        rows = [r + [0] * 7 for r in block] + [[0] * (2 + i) + [1] + [0] * (6 - i)
+                                               for i in range(7)]
+        return [[str(c) for c in r] for r in rows]
+
+    cert["matrices"] = {"x": diag2([[0, 1], [1, 0]]), "y": diag2([[0, 1], [1, 1]])}
+    _stated_order_of_z(cert, 2**4000, [(2, 4000)])
+
+
+@pytest.mark.parametrize("n,q,craft,claim", [
+    (9, 5, _mersenne_q, "Q factorization"),
+    (9, 2, _mersenne_prime_pair, "prime pair"),
+    (9, 8, _order_two_z_with_huge_two_power, "Q factorization"),
+])
+def test_stated_primes_are_bounded_before_they_are_tested(n, q, craft, claim):
+    # every prime power dividing an element order of GL_n(q), and every
+    # prime dividing |SL_n(q)|, is below q**n
+    c = certify(n, q)
+    craft(c)
+    t0 = time.perf_counter()
+    r = verify(c)
+    assert time.perf_counter() - t0 < 0.5
+    assert r == VerifyResult(False, claim)
+
+
 def test_reducible_verdict_is_a_failed_claim(monkeypatch):
     # the raw (10, 3) instantiation has an invariant line, yet x*y has order
     # 3^9 - 1 = 2 * 13 * 757: labelled special with the prime pair (13, 757)

@@ -343,6 +343,69 @@ def test_order_with_a_bound_is_the_exact_order(p, k):
                 m.order(factor(o // r))
 
 
+def nilpotent(f, n):
+    return Mat(f, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+def cycle_permutation(f, lengths):
+    """The permutation matrix of disjoint cycles of the given lengths."""
+    image = []
+    for length in lengths:
+        start = len(image)
+        image += [start + (i + 1) % length for i in range(length)]
+    n = len(image)
+    return Mat(f, [[int(image[j] == i) for j in range(n)] for i in range(n)])
+
+
+def poly_product(f, polys):
+    acc = Poly.constant(f, 1)
+    for g in polys:
+        acc = acc * g
+    return acc
+
+
+CHARPOLY_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 9), (17, 2), (65537, 1)]
+
+
+@pytest.mark.parametrize("p,k", CHARPOLY_FIELDS)
+def test_charpoly_multiplies_every_krylov_piece(p, k):
+    # each matrix is block diagonal or non-cyclic from e_0, so the spin from
+    # e_0 stops short of degree n and charpoly needs two or more pieces
+    f = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    c = rng.randrange(1, f.order)
+    a = Mat(f, [[rng.randrange(f.order) for _ in range(3)] for _ in range(3)])
+    small = [
+        Mat.identity(f, 4).scale(c),
+        Mat.zero(f, 3),
+        nilpotent(f, 5),
+        cycle_permutation(f, (3, 3)),
+        cycle_permutation(f, (2, 2, 1, 1)),
+        block_diag(a, a),
+        block_diag(a, companion(f, (c, 1, 0))),
+    ]
+    for m in small:
+        assert m.charpoly() == charpoly_cofactor(m), m
+    # up to n = 11, against closed forms
+    m1 = f.neg(1)
+    t3, t2 = Poly(f, (m1, 0, 0, 1)), Poly(f, (m1, 0, 1))  # t**3 - 1, t**2 - 1
+    known = [
+        (Mat.identity(f, 11).scale(c), poly_product(f, [Poly.x_minus(f, c)] * 11)),
+        (Mat.zero(f, 10), poly_product(f, [Poly.x(f)] * 10)),
+        (nilpotent(f, 11), poly_product(f, [Poly.x(f)] * 11)),
+        (cycle_permutation(f, (3, 3, 3, 2)), poly_product(f, [t3] * 3 + [t2])),
+    ]
+    for m, cp in known:
+        assert m.charpoly() == cp, m
+    # and cp(block_diag(a, b)) = cp(a) cp(b), cp(A)(A) = 0
+    for x, y in itertools.combinations(small + [a], 2):
+        if x.n + y.n <= 11:
+            m = block_diag(x, y)
+            cp = m.charpoly()
+            assert cp == x.charpoly() * y.charpoly(), m
+            assert poly_at(cp, m) == Mat.zero(f, m.n)
+
+
 def test_pow_and_identity():
     f5 = make_field(5, 1)
     m = Mat(f5, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
