@@ -194,13 +194,23 @@ def zsigmondy_primes(a: int, k: int) -> list[int]:
 
 def order_from_bound(is_one: Callable[[int], bool], bound_factors) -> int:
     """Exact order of an element from the factors of a multiple N of it;
-    is_one(e) says whether its e-th power is 1 (NotAnnihilated if not at N)."""
+    is_one(e) says whether its e-th power is 1 (NotAnnihilated if not at N).
+    is_one(order // r**j) is monotone in j, so each exponent is found by
+    testing j = 1, one call when the bound is exact, then by bisection."""
     order = math.prod(r**e for r, e in bound_factors)
     if not is_one(order):
         raise NotAnnihilated(f"the stated bound {order} does not annihilate")
-    for r, _ in bound_factors:
-        while order % r == 0 and is_one(order // r):
-            order //= r
+    for r, e in bound_factors:
+        if e < 1 or not is_one(order // r):
+            continue
+        lo, hi = 1, e  # is_one(order // r**lo) holds; the largest such j <= hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if is_one(order // r**mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        order //= r**lo
     return order
 
 

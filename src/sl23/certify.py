@@ -372,8 +372,10 @@ def _sections(pair: GenPair, seed: int):
     except InconclusiveAfterRetries:
         irreducible = False
     _prove(irreducible, "meataxe verdict")
-    for w in pair.words:
-        _prove(eval_word(w.letters, x, y).order() == w.claimed_order, "witness word order")
+    for w in pair.words:  # every element order in GL_n(q) is below q**n
+        c = w.claimed_order
+        _prove(0 < c < q**n and _has_order(eval_word(w.letters, x, y), c, factor(c)),
+               "witness word order")
     if tag == "special":
         pp = pair.coprime_claim
         # every prime dividing |SL_n(q)| is below q**n: is_prime stays bounded

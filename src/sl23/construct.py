@@ -169,6 +169,16 @@ _Y10 = """
 """
 
 
+def _min_poly_of_order(q: int, d: int, Q: int) -> tuple[Field, tuple, Poly]:
+    """GF(q), the factors of Q, and the minimal polynomial over GF(q) of the
+    canonical element of order Q in GF(q**d)."""
+    p, m = prime_power_decompose(q)
+    small, big = make_field(p, m), make_field(p, m * d)
+    emb = embed(small, big)
+    Qf = tuple(factor(Q))
+    return small, Qf, minimal_polynomial(element_of_order(big, Q, list(Qf)), emb)
+
+
 @lru_cache(maxsize=None)
 def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     """The parametrized pair for n = 9 or 10.
@@ -185,18 +195,12 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
         if n == 9:
             raise OutOfRange("n = 9 needs q outside {2, 4}")
         raise OutOfRange("n = 10 needs q > 4")
-    p, m = prime_power_decompose(q)
-    small = make_field(p, m)
-    big = make_field(p, m * (n - 1))
-    emb = embed(small, big)
     # Outside the supported range the halving convention loses its purpose
     # (the pair no longer generates either way), so the raw instantiation
     # takes the full multiplicative order; this is also the variant whose
     # invariant subspaces the line scanner is meant to expose.
     Q = q ** (n - 1) - 1 if excluded else target_order(n, q)
-    Qf = tuple(factor(Q))
-    w = element_of_order(big, Q, list(Qf))
-    f = minimal_polynomial(w, emb)
+    small, Qf, f = _min_poly_of_order(q, n - 1, Q)
     alphas = tuple(signed_coeffs(f))
     last = alphas[-1]
     # sanity anchors for the trailing coefficient's multiplicative order
@@ -496,14 +500,8 @@ def charpoly_from_deltas(field: Field, deltas: Sequence[int]) -> Poly:
 @lru_cache(maxsize=None)
 def build_sl11(q: int) -> GenPair:
     """The n = 11 pair over GF(q), for any prime power q."""
-    p, m = prime_power_decompose(q)
-    small = make_field(p, m)
-    big = make_field(p, 11 * m)
-    emb = embed(small, big)
     Q = target_order(11, q)
-    Qf = tuple(factor(Q))
-    w = element_of_order(big, Q, list(Qf))
-    l = minimal_polynomial(w, emb)
+    small, Qf, l = _min_poly_of_order(q, 11, Q)
     ten = read_degree11(l)
     deltas = deltas_from_min_poly(small, ten)
     symbols = {f"d{i}": d for i, d in enumerate(deltas, start=1)}

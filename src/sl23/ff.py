@@ -15,7 +15,7 @@ of the least primitive element, add (odd p) built digit by digit.
 Larger ones are the packed poly.Ring over their defining polynomial (an
 int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
 Each representation binds its own dot and axpy row kernels.  Defining
-polynomials come from poly.is_irreducible.
+polynomials come from poly.is_irreducible.  An Embedding tabulates nothing.
 """
 
 from __future__ import annotations
@@ -242,27 +242,24 @@ def element_of_order(field: Field, q_ord: int, q_factors: list[tuple[int, int]])
 class Embedding:
     """Subfield embedding GF(p**k) -> GF(p**K) with k | K.
 
-    The generator image is the smallest root (in element code order) of the
-    small field's defining polynomial inside the big field; both directions
-    are then tabulated, so project doubles as a subfield membership test.
+    The generator image g is the smallest root (in element code order) of
+    the small field's defining polynomial inside the big field.  lift is
+    Horner's rule in g; project reduces digits against the k rows [digits
+    of g**i | e_i] of a RowSpace over GF(p), so it is a membership test.
     """
 
-    __slots__ = ("small", "big", "image_of_generator", "_fwd", "_bwd")
+    __slots__ = ("small", "big", "image_of_generator", "_rows")
 
     def __init__(self, small: Field, big: Field):
-        self.small = small
-        self.big = big
+        from .matrix import RowSpace  # matrix imports ff at module level
+
+        self.small, self.big = small, big
         self.image_of_generator = g = self._find_image()
-        # lift(r + P*h) = lift(r) + h * g**j for P = p**j, one digit at a time
-        fwd, x = [0], 1
-        for _ in range(small.k):
-            fwd = [big.add(v, hx) for hx in [big.mul(h, x) for h in range(small.p)]
-                   for v in fwd]
+        self._rows, x = RowSpace(make_field(small.p, 1), big.k + small.k), 1
+        for i in range(small.k):
+            if not self._rows.add(big.coeffs(x) + tuple(int(i == j) for j in range(small.k))):
+                raise RuntimeError("embedding is not injective")  # unreachable
             x = big.mul(x, g)
-        self._fwd = dict(enumerate(fwd))
-        self._bwd = {v: s for s, v in enumerate(fwd)}
-        if len(self._bwd) != small.order:
-            raise RuntimeError("embedding is not injective")  # unreachable
 
     def _find_image(self) -> int:
         small, big = self.small, self.big
@@ -279,16 +276,17 @@ class Embedding:
 
     def lift(self, a: int) -> int:
         """Image in the big field of a small-field element."""
-        return self._fwd[a]
+        return Poly(self.big, self.small.coeffs(a)).evaluate(self.image_of_generator)
 
     def project(self, b: int) -> int:
-        """Preimage of b, or NotInSubfield if b is outside the image."""
-        try:
-            return self._bwd[b]
-        except KeyError:
+        """a with lift(a) = b, read as b's digits reduce to [0 | -a's digits];
+        NotInSubfield if b is outside the image."""
+        v = self._rows.reduce(self.big.coeffs(b) + (0,) * self.small.k)
+        if any(v[:self.big.k]) or not 0 <= b < self.big.order:
             raise NotInSubfield(
                 f"element {b} of {self.big!r} is not in the embedded {self.small!r}"
-            ) from None
+            )
+        return self.small.encode(-c for c in v[self.big.k:])
 
 
 def embed(small: Field, big: Field) -> Embedding:

@@ -207,7 +207,8 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.echelon)
 
-    def _reduce(self, vec: Sequence[int]) -> list[int]:
+    def reduce(self, vec: Sequence[int]) -> list[int]:
+        """vec minus the combination of basis rows that clears its pivots."""
         f = self.field
         v = list(vec)
         for row, piv in zip(self.echelon, self.pivots):
@@ -219,7 +220,7 @@ class RowSpace:
     def add(self, vec: Sequence[int]) -> int:
         """The pivot entry of vec reduced by the basis, before it is scaled
         to 1: nonzero, so true, iff vec enlarged the space, else 0."""
-        v = self._reduce(vec)
+        v = self.reduce(vec)
         piv = next((i for i, c in enumerate(v) if c), None)
         if piv is None:
             return 0
@@ -229,7 +230,7 @@ class RowSpace:
         return v[piv]
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return all(c == 0 for c in self._reduce(vec))
+        return all(c == 0 for c in self.reduce(vec))
 
 
 def kernel(field: Field, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -10,6 +10,7 @@ from sl23.arith import (
     _iroot,
     factor,
     is_prime,
+    order_from_bound,
     prime_power_decompose,
     zsigmondy_primes,
 )
@@ -148,3 +149,33 @@ def test_iroot_is_exact():
                 assert root**m <= x < (root + 1) ** m, (bits, m)
             assert _iroot(r**m, m) == r
     assert [_iroot(x, 3) for x in (1, 7, 8, 26, 27)] == [1, 1, 2, 2, 3]
+
+
+def _counted_order(order, bound):
+    """order_from_bound for an element of the given order, and the number
+    of is_one calls it made."""
+    calls = []
+
+    def is_one(e):
+        calls.append(e)
+        return e % order == 0
+
+    return order_from_bound(is_one, bound), len(calls)
+
+
+def test_order_from_bound_calls_once_per_prime_on_an_exact_bound():
+    for order in (1, 2, 12, 360, 2**10 * 3**7 * 11, 1000003 * 1000033):
+        fs = factor(order)
+        assert _counted_order(order, fs) == (order, 1 + len(fs))
+
+
+def test_order_from_bound_bisects_each_exponent():
+    # one check at the bound, one at j = 1, then a bisection of [1, e]
+    for e in range(1, 70):
+        for j in range(e + 1):
+            order, calls = _counted_order(3**j, [(3, e)])
+            assert order == 3**j
+            assert calls <= math.ceil(math.log2(e)) + 2, (e, j)
+    order, calls = _counted_order(2**3 * 5 * 7**2, [(2, 40), (5, 1), (7, 9), (11, 3)])
+    assert order == 2**3 * 5 * 7**2
+    assert calls <= 1 + sum(math.ceil(math.log2(e)) + 1 for e in (40, 1, 9, 3))

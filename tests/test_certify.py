@@ -414,6 +414,26 @@ def test_tamper_witness_word(c103):
     assert not r.ok and r.failed_claim == "witness word order"
 
 
+@pytest.mark.parametrize("order", ["0", str(2**4423 - 1), "twice"],
+                         ids=["zero", "mersenne", "twice"])
+def test_witness_word_order_is_checked_against_its_claim(c103, order):
+    # 0 and a Mersenne prime past q**n fail before anything is factored
+    c = copy.deepcopy(c103)
+    word = c["construction"]["words"][0]
+    word["order"] = str(2 * int(word["order"])) if order == "twice" else order
+    t0 = time.perf_counter()
+    assert verify(c) == VerifyResult(False, "witness word order")
+    assert time.perf_counter() - t0 < 1
+
+
+def test_large_prime_field_certifies_and_verifies_fast():
+    # the embedding of GF(p) keeps no p-entry table
+    t0 = time.perf_counter()
+    c = certify(9, 1000003)
+    assert verify(c).ok
+    assert time.perf_counter() - t0 < 2
+
+
 def test_tamper_prime_pair(c103):
     c = copy.deepcopy(c103)
     c["construction"]["prime_pair"] = ["61", "5"]

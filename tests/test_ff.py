@@ -228,6 +228,49 @@ def test_embed_membership_test():
             emb.project(b)
 
 
+# Subfields past the tabled range, in both characteristics and over a
+# prime field with 65537 elements.
+LARGE_EMBEDDINGS = [((2, 9), (2, 18)), ((3, 6), (3, 12)), ((65537, 1), (65537, 2))]
+LARGE_IDS = ["2^9-in-2^18", "3^6-in-3^12", "65537-in-65537^2"]
+
+
+@pytest.mark.parametrize("small,big", LARGE_EMBEDDINGS, ids=LARGE_IDS)
+def test_embed_round_trip_and_homomorphism_on_large_fields(small, big):
+    small, big = make_field(*small), make_field(*big)
+    emb = embed(small, big)
+    assert (emb.lift(0), emb.lift(1)) == (0, 1)
+    rng = random.Random(small.order)
+    for _ in range(50):
+        a, b = rng.randrange(small.order), rng.randrange(small.order)
+        assert emb.project(emb.lift(a)) == a
+        assert emb.lift(small.add(a, b)) == big.add(emb.lift(a), emb.lift(b))
+        assert emb.lift(small.mul(a, b)) == big.mul(emb.lift(a), emb.lift(b))
+
+
+@pytest.mark.parametrize("small,big", LARGE_EMBEDDINGS, ids=LARGE_IDS)
+def test_project_is_a_membership_test_on_large_fields(small, big):
+    # b lies in GF(q) iff b**q = b, as every norm w**((|big| - 1)/(q - 1)) does
+    small, big = make_field(*small), make_field(*big)
+    emb, q = embed(small, big), small.order
+    rng = random.Random(big.order)
+    outside = 0
+    for _ in range(50):
+        b = rng.randrange(big.order)
+        if big.pow(b, q) == b:
+            assert emb.lift(emb.project(b)) == b
+        else:
+            outside += 1
+            with pytest.raises(NotInSubfield):
+                emb.project(b)
+    assert outside
+    for b in (-1, big.order, big.order + 1):  # codes outside the big field
+        with pytest.raises(NotInSubfield):
+            emb.project(b)
+    for _ in range(10):
+        b = big.pow(rng.randrange(1, big.order), (big.order - 1) // (q - 1))
+        assert big.pow(b, q) == b and emb.lift(emb.project(b)) == b
+
+
 def test_embed_rejects_impossible():
     with pytest.raises(NoEmbedding):
         embed(make_field(2, 2), make_field(2, 3))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -341,6 +342,16 @@ def test_order_with_a_bound_is_the_exact_order(p, k):
         for r, _ in factor(o):
             with pytest.raises(NotAnnihilated):
                 m.order(factor(o // r))
+
+
+def test_order_with_a_huge_prime_power_bound_is_fast():
+    # an involution over GF(8) against the bound 2**4000: the exponent of 2
+    # is found by bisection, not by dividing 2 out 3999 times
+    f = make_field(2, 3)
+    swap = cycle_permutation(f, [2] + [1] * 7)
+    t0 = time.perf_counter()
+    assert swap.order([(2, 4000)]) == 2
+    assert time.perf_counter() - t0 < 0.5
 
 
 def nilpotent(f, n):
