@@ -1,16 +1,21 @@
 """Certificates for the constructed generator pairs.
 
 A certificate is a JSON-ready dict recording one constructed pair together
-with every computed fact its generation argument rests on: exact element
-orders, the characteristic-polynomial identity for the product, both
-irreducibility verdicts, and for dimension 11 the table of maximal
-subgroup orders with its Q-divisibility scan.  One section list,
-_sections, feeds both sides: certify() takes each section from it, and
-verify() rebuilds each one from the serialized matrices and the few facts
-a certificate states, then compares, so a certificate never has to be
-taken on faith.  The entries that cannot be recomputed (the completeness
-of the published subgroup classification) are spelled out as explicit
-assumption strings.
+with every computed fact its generation argument rests on.  Its keys, in
+order: version, n, q, p, m, construction (plus words and prime_pair for a
+special pair), field, matrices, Q, Q_factors, orders, ppd (generic9 and
+generic10: the least prime r | Q modulo which q has order n - 1), charpoly,
+alphas (generic) or deltas (sl11), irreducibility, maxsub_scan (sl11),
+assumptions, seed.  irreducibility holds the exact line scan, and the
+MeatAxe only for special pairs.  For generic tags charpoly(z) = (t - a) f
+with f irreducible, so V is a line plus a hyperplane, simple non-isomorphic
+F_q[z]-modules and the only proper nonzero z-invariant subspaces; the scan
+rules both out for <x, y>.  For sl11 charpoly(z) is irreducible, so V is
+simple under z alone.  One section list, _sections, feeds both sides:
+certify() takes each section from it, and verify() rebuilds each one from
+the serialized matrices and the facts a certificate states, then compares.
+What cannot be recomputed (the completeness of the published subgroup
+classifications) is spelled out as assumption strings.
 
 Serialization conventions: every integer is a decimal string, field
 elements use their canonical integer encoding, polynomials are
@@ -42,7 +47,7 @@ from .matrix import Mat, check_word, eval_word
 from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_lines
 from .poly import Poly, from_signed_coeffs, is_irreducible, read_degree11
 
-VERSION = "1"
+VERSION = "2"
 
 
 class ClaimFailed(ArithmeticError):
@@ -237,19 +242,20 @@ def _scan_json(q: int) -> list:
 
 
 def _assumption_lines(tag: str, n: int, q: int, Q: int,
-                      prime_pair: Optional[tuple[int, int]]) -> list[str]:
+                      prime_pair: Optional[tuple[int, int]], ppd: Optional[int]) -> list[str]:
     if tag == "special":
         head = (f"classification input, not recomputed here: no maximal subgroup "
                 f"of SL_{n}({q}) has order divisible by "
                 f"{prime_pair[0]}*{prime_pair[1]}")
     elif tag == "sl11":
         head = (f"classification input, not recomputed here: the fourteen-row "
-                f"table of maximal subgroup orders for SL_11({q}) is complete")
+                f"table of maximal subgroup orders for SL_11({q}) is complete "
+                f"(Bray, Holt & Roney-Dougal 2013)")
     else:
-        head = (f"classification input, not recomputed here: every maximal "
-                f"subgroup of SL_{n}({q}) either stabilizes a line or a "
-                f"hyperplane of the natural module or has no element of "
-                f"order {Q}")
+        head = (f"classification input, not recomputed here (Guralnick, Penttila, Praeger "
+                f"& Saxl 1999, for the primitive prime divisor {ppd} of {q}^{n - 1} - 1): "
+                f"every maximal subgroup of SL_{n}({q}) either stabilizes a line or a "
+                f"hyperplane of the natural module or has no element of order {Q}")
     tail = (f"the images of x and y in the quotient by the center again have "
             f"orders 2 and 3 and generate PSL_{n}({q})")
     return [head, tail]
@@ -339,8 +345,14 @@ def _sections(pair: GenPair, seed: int):
     _prove(_has_order(pair.z, Q, fs), "order of z")
     if tag != "special":
         _prove(Q == target_order(n, q), "Q value")
+    ppd = None
     if tag == "sl11":
         _prove(gcd(6, Q) == 1, "gcd(6, Q)")
+    elif tag != "special":  # r | Q | q^(n-1) - 1, and q has order n - 1 mod r
+        ppd = next((r for r, _ in fs if all(pow(q, (n - 1) // s, r) != 1
+                                            for s, _ in factor(n - 1))), None)
+        yield "ppd", str(ppd), "primitive prime divisor"
+        _prove(ppd is not None, "primitive prime divisor")
 
     cp = pair.z.charpoly()
     expected = None
@@ -360,18 +372,21 @@ def _sections(pair: GenPair, seed: int):
         yield "deltas", [str(v) for v in deltas], "delta list"
         _prove(deltas_from_min_poly(field, read_degree11(expected)) == tuple(deltas),
                "delta assignment")
+        _prove(is_irreducible(cp), "irreducibility of charpoly")
     elif tag != "special":
         yield "alphas", [str(a) for a in alphas], "alpha list"
         _prove(is_irreducible(f), "irreducibility of f")
 
-    yield "irreducibility", {"scan": "irreducible", "meataxe": "irreducible",
+    meataxe = {"meataxe": "irreducible"} if tag == "special" else {}
+    yield "irreducibility", {"scan": "irreducible", **meataxe,
                              "seed": str(seed)}, _IRREDUCIBILITY
     _prove(scan_lines(x, y).irreducible, "scan verdict")
-    try:
-        irreducible = is_irreducible_module([x, y], seed=seed).irreducible
-    except InconclusiveAfterRetries:
-        irreducible = False
-    _prove(irreducible, "meataxe verdict")
+    if tag == "special":  # for the others charpoly(z), proved above, and the scan suffice
+        try:
+            irreducible = is_irreducible_module([x, y], seed=seed).irreducible
+        except InconclusiveAfterRetries:
+            irreducible = False
+        _prove(irreducible, "meataxe verdict")
     for w in pair.words:  # every element order in GL_n(q) is below q**n
         c = w.claimed_order
         _prove(0 < c < q**n and _has_order(eval_word(w.letters, x, y), c, factor(c)),
@@ -386,7 +401,7 @@ def _sections(pair: GenPair, seed: int):
 
     if tag == "sl11":
         yield "maxsub_scan", _scan_json(q), "maxsub table"
-    yield "assumptions", _assumption_lines(tag, n, q, Q, pair.coprime_claim), "assumptions"
+    yield "assumptions", _assumption_lines(tag, n, q, Q, pair.coprime_claim, ppd), "assumptions"
     yield "seed", str(seed), "seed consistency"
 
 

@@ -147,13 +147,13 @@ def test_byte_stable(n, q):
 # sha256 of dumps(certify(n, q, 1)).  The field layer may be rewritten,
 # but these bytes may change only together with VERSION.
 PINNED_SHA256 = {
-    (9, 9): "6c0eafd61bd234579b1f50a4f5c75860252de5a083325cce00050404ff1691f9",
-    (10, 9): "b692f17d5e617adb42cedf0e535c4a06466cbb1f33554a63b9000bf1a60fb614",
-    (11, 9): "08728862d63002d58e5bf27f7d6c5b4555c1ebe8ab5c41ae85a97225ca7086ff",
-    (9, 16): "608994cbde99d9714390b2c84de7782df19322544972aa6ae424be2eda1f038f",
-    (11, 2): "814fd1c2b735a820398f8f1177fa0fd7917317b0add22063e5113f4f35f6925d",
-    (10, 7): "ecdf4dd53d5d30246122687b8fba15e1b1e176fb4f924c698c53f5a1ef884a0f",
-    (9, 25): "4b78b66a8cf2a61f97744db803a8dd3ff56f0decff81f1dfd5566452b02f80ad",
+    (9, 9): "ebdad7f915b49bc65f9998ee439421125851a0c79afb1232b24c4169e7a0e0ae",
+    (10, 9): "4b6c84182d425022115319ed972e3d0a4f83b4ae643ca9985097c5ff0c74c732",
+    (11, 9): "f599049029b415e3f6514d9557b83a54d9519b5eba0b3b6662b871a5512e2104",
+    (9, 16): "5355900c8b734d92d8a1afdbd2f9f603f27d10764b62cea7b28dda4df2ccfe88",
+    (11, 2): "3156ae2b3779f40520ce99b4f55f7d7230879213390630b8352e6314d0406afa",
+    (10, 7): "08bbf56e619fe14c7c5a4db47194f86b69762d9a3ee18057ca7d417bacb82e20",
+    (9, 25): "ee91a649cfa0d54fc82b9f73105e0d902cb8869070284ec3a51b66609e4bff23",
 }
 
 
@@ -348,6 +348,67 @@ def test_early_exits_skip_the_module_checks(monkeypatch):
     assert r == VerifyResult(False, "seed consistency")
 
 
+@pytest.mark.parametrize("n,q,tag", [(9, 5, "generic9"), (10, 5, "generic10"),
+                                     (11, 2, "sl11"), (9, 2, "special")])
+def test_only_special_pairs_run_the_meataxe(monkeypatch, n, q, tag):
+    # charpoly(z) and the exact line scan prove the generic and sl11
+    # modules irreducible; the special pairs keep the MeatAxe
+    cert = certify(n, q)
+    assert cert["construction"]["tag"] == tag
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the MeatAxe ran")
+
+    monkeypatch.setattr("sl23.certify.is_irreducible_module", unreachable)
+    if tag == "special":
+        assert list(cert["irreducibility"]) == ["scan", "meataxe", "seed"]
+        for run in (lambda: certify(n, q), lambda: verify(cert)):
+            with pytest.raises(AssertionError, match="the MeatAxe ran"):
+                run()
+    else:
+        assert list(cert["irreducibility"]) == ["scan", "seed"]
+        assert certify(n, q) == cert
+        assert verify(cert) == VerifyResult(True, None)
+
+
+def test_sl11_charpoly_must_be_irreducible(monkeypatch):
+    monkeypatch.setattr("sl23.certify.is_irreducible", lambda f: False)
+    with pytest.raises(ClaimFailed, match="irreducibility of charpoly"):
+        certify(11, 2)
+
+
+@pytest.fixture(scope="module")
+def g95():
+    return certify(9, 5)
+
+
+def test_ppd_is_derived_from_the_factors_of_q(g95):
+    # 5^8 - 1 = 2^5 * 3 * 13 * 313; 5 has order 1, 2, 4 and 8 modulo them
+    assert list(g95)[list(g95).index("orders") + 1] == "ppd"
+    assert g95["ppd"] == "313"
+    assert "primitive prime divisor 313 of 5^8 - 1" in g95["assumptions"][0]
+    assert "Bray, Holt & Roney-Dougal" in certify(11, 2)["assumptions"][0]
+    # 2 divides q - 1 = 4 and Q, but is no primitive prime divisor
+    r = tampered(g95, ("ppd",), "2")
+    assert r == VerifyResult(False, "primitive prime divisor")
+
+
+def test_missing_ppd_is_a_failed_claim(monkeypatch):
+    # with factor(n - 1) read as [(1, 1)], a ppd r would need q^(n-1) != 1
+    # mod r, which no prime of Q has: certify fails by name, not StopIteration
+    monkeypatch.setattr("sl23.certify.factor", lambda m: [(1, 1)])
+    with pytest.raises(ClaimFailed, match="primitive prime divisor"):
+        certify(9, 5)
+
+
+def test_version_1_certificates_are_refused(g95):
+    irr = g95["irreducibility"]
+    r = tampered(g95, ("irreducibility",),
+                 {"scan": irr["scan"], "meataxe": "irreducible", "seed": irr["seed"]})
+    assert r == VerifyResult(False, "schema key order")
+    assert tampered(g95, ("version",), "1") == VerifyResult(False, "version")
+
+
 @pytest.mark.parametrize("tag,n,q", [("generic9", 9, 3), ("generic10", 10, 5),
                                      ("special", 10, 3), ("sl11", 11, 2)])
 def test_schema_mutations_fail_with_a_named_claim(tag, n, q):
@@ -453,7 +514,7 @@ def test_malformed_certificates(base):
     assert not verify(c).ok
     assert not verify({"version": "1"}).ok
     assert not verify([1, 2]).ok
-    r = verify({"version": "2"})
+    r = verify({"version": "1"})
     assert not r.ok and r.failed_claim == "version"
     c = copy.deepcopy(base)
     c["n"] = "10"  # shape no longer matches the tag
