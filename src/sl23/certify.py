@@ -34,6 +34,7 @@ from typing import Optional
 from .arith import NotAnnihilated, factor, is_prime, prime_power_decompose
 from .construct import (
     MAX_Q_BITS,
+    MAX_Q_DEGREE,
     GenPair,
     Witness,
     build,
@@ -491,6 +492,7 @@ def _verify(cert) -> None:
     _prove(q.bit_length() <= MAX_Q_BITS, "q size")
     p, m = _int(cert["p"]), _int(cert["m"])
     _prove(prime_power_decompose(q) == (p, m), "prime power decomposition")
+    _prove(m <= MAX_Q_DEGREE, "q size")
     construction = cert["construction"]
     tag = construction["tag"]
     _prove(n in (9, 10, 11) and tag == coverage(n, q), "construction tag")

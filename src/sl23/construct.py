@@ -29,6 +29,7 @@ from .matrix import Mat
 from .poly import Poly, minimal_polynomial, read_degree11, signed_coeffs
 
 MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
+MAX_Q_DEGREE = 64  # the largest m in q = p**m: make_field(2, 2000) alone takes over a minute
 
 
 class UnsupportedN(ValueError):
@@ -36,7 +37,8 @@ class UnsupportedN(ValueError):
 
 
 class OutOfRange(ValueError):
-    """Raised for a q the generic construction excludes, or past MAX_Q_BITS."""
+    """Raised for a q the generic construction excludes, or past MAX_Q_BITS
+    or MAX_Q_DEGREE."""
 
 
 class NotSpecialCase(ValueError):
@@ -203,14 +205,9 @@ def build_generic(n: int, q: int, unchecked: bool = False) -> GenPair:
     small, Qf, f = _min_poly_of_order(q, n - 1, Q)
     alphas = tuple(signed_coeffs(f))
     last = alphas[-1]
-    # sanity anchors for the trailing coefficient's multiplicative order
-    if q == 3 and not excluded:
-        anchored = last == 1
-    elif q == 7:
-        anchored = last != 1 and small.pow(last, 3) == 1
-    else:
-        anchored = order_from_bound(lambda e: small.pow(last, e) == 1, factor(q - 1)) == q - 1
-    if not anchored:
+    # a sanity anchor: last is the norm of an element of order Q
+    order = order_from_bound(lambda e: small.pow(last, e) == 1, factor(q - 1))
+    if order != (q - 1) * Q // (q ** (n - 1) - 1):
         raise ArithmeticError(f"trailing coefficient {last} has the wrong order")  # unreachable
     r = small.inv(last)
     symbols = {"r": r}
@@ -535,6 +532,8 @@ def build(n: int, q: int) -> GenPair:
     if q.bit_length() > MAX_Q_BITS:
         raise OutOfRange(f"q has {q.bit_length()} bits, more than {MAX_Q_BITS}")
     tag = coverage(n, q)
+    if (m := prime_power_decompose(q)[1]) > MAX_Q_DEGREE:
+        raise OutOfRange(f"q = p**{m}, a degree above {MAX_Q_DEGREE}")
     if tag == "sl11":
         return build_sl11(q)
     if tag == "special":

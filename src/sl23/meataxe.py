@@ -6,10 +6,12 @@ Two independent checks are provided:
   order-3 generator pair (eigenvalue pairs are limited to cube and square
   roots of unity) and repeats the scan on the transposed pair, which
   detects invariant hyperplanes as invariant lines of the dual module.
-* is_irreducible_module is the classical randomized algebra test: find an
-  algebra element with an irreducible characteristic factor g whose kernel
-  has dimension exactly deg g; spinning one kernel vector and one dual
-  kernel vector then decides irreducibility outright.
+* is_irreducible_module is the MeatAxe, the classical randomized algebra
+  test (Holt & Rees 1994): find an algebra element with an irreducible
+  characteristic factor g whose kernel has dimension exactly deg g;
+  spinning one kernel vector and one dual kernel vector then decides
+  irreducibility outright.  The factors g come from
+  poly.irreducible_factors; this file keeps no polynomial code of its own.
 
 Both emit Verdicts whose reducibility witnesses are re-verified invariant
 subspaces, never raw guesses.
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .ff import element_of_order
 from .matrix import Mat, RowSpace, kernel
-from .poly import Poly, factor_degree_components, pow_mod
+from .poly import Poly, irreducible_factors
 
 
 class ZeroSeed(ValueError):
@@ -143,40 +145,6 @@ def scan_lines(x: Mat, y: Mat) -> Verdict:
 _BUDGET = 64
 
 
-def _random_poly(field, degree_below: int, rng: random.Random) -> Poly:
-    while True:
-        coeffs = [rng.randrange(field.order) for _ in range(degree_below)]
-        f = Poly(field, coeffs)
-        if f.degree >= 1:
-            return f
-
-
-def _split_equal_degree(g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a squarefree product of distinct degree-d irreducibles."""
-    if g.degree == d:
-        return [g]
-    field = g.field
-    while True:
-        u = _random_poly(field, g.degree, rng)
-        c = g.gcd(u)
-        if not 0 < c.degree < g.degree:
-            if field.p == 2:
-                # trace map over GF(2): constant on each irreducible component
-                acc = t = u % g
-                for _ in range(field.k * d - 1):
-                    t = pow_mod(t, 2, g)
-                    acc = (acc + t) % g
-                c = g.gcd(acc)
-            else:
-                h = pow_mod(u, (field.order**d - 1) // 2, g)
-                c = g.gcd(h - Poly.constant(field, 1))
-        if 0 < c.degree < g.degree:
-            break
-    left = c.monic()
-    right = (g // left).monic()
-    return _split_equal_degree(left, d, rng) + _split_equal_degree(right, d, rng)
-
-
 def _poly_at_matrix(g: Poly, a: Mat) -> Mat:
     """g(A), deg g >= 1, by Horner's rule from the leading coefficient."""
     add, cs = a.field.add, g.coeffs
@@ -221,22 +189,21 @@ def is_irreducible_module(gens: Sequence[Mat], seed: int = 0) -> Verdict:
     for _ in range(_BUDGET):
         a = _random_algebra_element(gens, rng)
         cp = a.charpoly()
-        for d, component in factor_degree_components(cp):
-            for g in _split_equal_degree(component, d, rng):
-                ga = _poly_at_matrix(g, a)
-                null = kernel(field, ga.rows)
-                if len(null) != d:
-                    continue
-                sp = spin(null[0], gens)
-                if sp.dimension < n:
-                    _assert_invariant(sp.basis, gens)
-                    return Verdict(irreducible=False, side="natural", basis=sp.basis)
-                null_t = kernel(field, ga.T.rows)
-                spd = spin(null_t[0], gens_t)
-                if spd.dimension < n:
-                    _assert_invariant(spd.basis, gens_t)
-                    return Verdict(irreducible=False, side="dual", basis=spd.basis)
-                return Verdict(irreducible=True)
+        for g in irreducible_factors(cp, rng):
+            ga = _poly_at_matrix(g, a)
+            null = kernel(field, ga.rows)
+            if len(null) != g.degree:
+                continue
+            sp = spin(null[0], gens)
+            if sp.dimension < n:
+                _assert_invariant(sp.basis, gens)
+                return Verdict(irreducible=False, side="natural", basis=sp.basis)
+            null_t = kernel(field, ga.T.rows)
+            spd = spin(null_t[0], gens_t)
+            if spd.dimension < n:
+                _assert_invariant(spd.basis, gens_t)
+                return Verdict(irreducible=False, side="dual", basis=spd.basis)
+            return Verdict(irreducible=True)
     raise InconclusiveAfterRetries(
         f"no usable algebra element after {_BUDGET} attempts"
     )

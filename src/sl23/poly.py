@@ -2,14 +2,15 @@
 
 A Poly is immutable: coeffs is a tuple with no trailing zeros, so the zero
 polynomial has coeffs == () and degree -1.  Only the operations the rest
-of the package needs live here (ring arithmetic, gcd, modular powers,
-Ben-Or's irreducibility test, minimal polynomials over a subfield, and the
-signed coefficient reading used by the generator constructions); full
-factorization deliberately does not.
+of the package needs live here (ring arithmetic, gcd, residue rings, the
+distinct irreducible factors, Ben-Or's irreducibility test, minimal
+polynomials over a subfield, and the signed coefficient reading used by
+the generator constructions); factor multiplicities deliberately do not.
 
-pow_mod, the distinct-degree split and Ben-Or's test (the split up to its
-first factor) run in residue_ring(f), one per modulus: over GF(p) the packed
-Ring, where a product or a gcd step is a few int operations, else Poly.
+The distinct-degree split, Ben-Or's test (that split up to its first
+factor) and the Cantor-Zassenhaus equal-degree split behind
+irreducible_factors run in residue_ring(f), one per modulus: over GF(p) the
+packed Ring, where a product or a gcd step is a few int operations, else Poly.
 Matrix orders power in Ring over GF(p) for every field, and ff.Field's
 large extension fields are Rings.  This is the package's only polynomial
 code, so the Field and Embedding types are needed here for annotations only.
@@ -172,7 +173,7 @@ class Poly:
 
 def power(x, e: int, mul, one=1):
     """x**e for e >= 0 by square-and-multiply under the product mul: the
-    one powering loop behind Field.pow, Ring.pow, pow_mod and Mat.__pow__.
+    one powering loop behind Field.pow, Ring.pow, residue powers and Mat.__pow__.
     one is returned for e = 0 only and never multiplied."""
     if e < 0:
         raise ValueError("negative exponent")
@@ -300,15 +301,9 @@ def residue_ring(f: Poly):
     """F[t]/(f) for a monic f: Ring over a prime field, else Poly residues."""
     if f.field.k == 1:
         return Ring(f.field.p, f.coeffs)
-    one, same = Poly.constant(f.field, 1) % f, lambda a, field=None: a
+    one, same, mul = Poly.constant(f.field, 1) % f, lambda a, field=None: a, lambda x, y: x * y % f
     return SimpleNamespace(pack_poly=same, unpack_poly=same, sub=Poly.__sub__, gcd=Poly.gcd,
-                           pow=lambda a, e: power(a, e, lambda x, y: x * y % f, one))
-
-
-def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base**e modulo a monic mod, for e >= 0, in residue_ring(mod)."""
-    ring = residue_ring(mod)
-    return ring.unpack_poly(ring.pow(ring.pack_poly(base % mod), e), mod.field)
+                           mul=mul, pow=lambda a, e: power(a, e, mul, one))
 
 
 def factor_degree_components(f: Poly) -> Iterator[tuple[int, Poly]]:
@@ -333,6 +328,41 @@ def factor_degree_components(f: Poly) -> Iterator[tuple[int, Poly]]:
             G = ring.pack_poly(g)
     if g.degree > 0:
         yield g.degree, g
+
+
+def irreducible_factors(f: Poly, rng) -> Iterator[Poly]:
+    """The distinct monic irreducible factors of a nonzero f over GF(Q),
+    lazily, ascending in degree, drawing from the random.Random rng.
+
+    Each component g_d of factor_degree_components is split by Cantor &
+    Zassenhaus (1981), in one residue_ring(g) per split.  For a random u of
+    degree < deg g, T(u) = u + u**2 + ... + u**(2**(kd - 1)) over GF(2**k)
+    and u**((Q**d - 1) / 2) - 1 over odd Q is, modulo each degree-d factor
+    of g, 0 for about half of all u, so gcd(g, T(u)) is often proper.
+    """
+    field = f.field
+    for d, component in factor_degree_components(f):
+        todo = [component]
+        while todo:
+            g = todo.pop()
+            if g.degree == d:
+                yield g
+                continue
+            ring = residue_ring(g)
+            G, one = ring.pack_poly(g), ring.pack_poly(Poly.constant(field, 1))
+            while True:  # a constant u never splits g, and is drawn again
+                u = t = ring.pack_poly(
+                    Poly(field, [rng.randrange(field.order) for _ in range(g.degree)]))
+                if field.p == 2:
+                    for _ in range(field.k * d - 1):
+                        t = ring.mul(t, t)
+                        u = ring.sub(u, t)  # the sum, in characteristic 2
+                else:
+                    u = ring.sub(ring.pow(u, (field.order**d - 1) // 2), one)
+                c = ring.unpack_poly(ring.gcd(G, u), field)
+                if 0 < c.degree < g.degree:
+                    break
+            todo += [g // c, c]
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -21,6 +21,7 @@ import pytest
 from sl23.arith import factor, is_prime
 from sl23.certify import (
     MAX_Q_BITS,
+    MAX_Q_DEGREE,
     ClaimFailed,
     VerifyResult,
     certify,
@@ -30,7 +31,7 @@ from sl23.certify import (
     q_divisibility_scan,
     verify,
 )
-from sl23.construct import Witness, build_generic
+from sl23.construct import OutOfRange, Witness, build_generic
 from sl23.meataxe import Verdict, scan_lines
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
@@ -589,6 +590,18 @@ def test_q_past_the_size_limit_is_a_failed_claim(base):
     assert time.perf_counter() - t0 < 1
     with pytest.raises(ValueError):
         certify(9, q)
+
+
+def test_field_degree_past_the_limit_is_a_failed_claim():
+    # a forgery under 1 kB: building GF(2**2000) alone would take over a minute
+    forged = {"version": "2", "n": "9", "q": str(2**2000), "p": "2", "m": "2000",
+              "construction": {"tag": "generic9"}}
+    assert 2000 > MAX_Q_DEGREE >= 20  # the largest m the other tests build
+    t0 = time.perf_counter()
+    assert verify(forged) == VerifyResult(False, "q size")
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(OutOfRange):
+        certify(9, 2**65)
 
 
 def test_certify_checks_survive_python_O():

@@ -61,6 +61,12 @@ def test_gen_rejects_q_past_the_size_limit(capsys):
     assert "error: q has 5001 bits" in err
 
 
+def test_gen_rejects_q_past_the_degree_limit(capsys):
+    rc, _, err = run(capsys, "gen", "--n", "9", "--q", str(2**65))
+    assert rc == 2
+    assert "error: q = p**65" in err
+
+
 def test_gen_rejects_unsupported_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "8", "--q", "3"])

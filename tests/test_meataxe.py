@@ -53,6 +53,15 @@ def test_poly_at_matrix_matches_naive_horner(p, k):
         assert _poly_at_matrix(g, a) == naive, (d, g)
 
 
+def test_meataxe_splits_equal_degree_components():
+    # every algebra element is diag(a, b): charpoly (t - a)(t - b) with one
+    # degree-1 component, whose kernel is the whole space until it is split
+    f3 = make_field(3, 1)
+    gens = [Mat(f3, [[1, 0], [0, 2]]), Mat(f3, [[2, 0], [0, 1]])]
+    v = is_irreducible_module(gens)
+    assert not v.irreducible and v.side in ("natural", "dual") and len(v.basis) == 1
+
+
 def test_scan_lines_identity_pair():
     f3 = make_field(3, 1)
     ident = Mat.identity(f3, 4)

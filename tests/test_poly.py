@@ -15,8 +15,8 @@ from sl23.poly import (
     factor_degree_components,
     from_signed_coeffs,
     is_irreducible,
+    irreducible_factors,
     minimal_polynomial,
-    pow_mod,
     power,
     read_degree11,
     signed_coeffs,
@@ -100,21 +100,6 @@ def test_gcd():
     assert (t * t - Poly.constant(field, 1)).gcd(t - Poly.constant(field, 1)).degree == 1
 
 
-def test_pow_mod_matches_naive():
-    field = make_field(5, 1)
-    rng = random.Random(55)
-    for _ in range(100):
-        base = random_poly(field, rng, 4)
-        mod = random_monic(field, rng, rng.randrange(1, 5))
-        e = rng.randrange(0, 40)
-        naive = Poly.constant(field, 1)
-        for _ in range(e):
-            naive = (naive * base) % mod
-        assert pow_mod(base, e, mod) == naive
-    with pytest.raises(ValueError):
-        pow_mod(base, -1, mod)
-
-
 def test_power_never_multiplies_by_one():
     calls = []
 
@@ -127,6 +112,8 @@ def test_power_never_multiplies_by_one():
         assert power(7, e, mul, one=0) == 7 * e
         assert len(calls) == products, e
         assert all(0 not in pair for pair in calls), e
+    with pytest.raises(ValueError):
+        power(7, -1, mul, one=0)
 
 
 # --- the packed ring F_p[t]/(f) against Poly products and remainders -------
@@ -164,7 +151,6 @@ def test_ring_matches_poly_arithmetic(p):
             for _ in range(e):
                 naive = naive * a % mod
             assert ring.unpack_poly(ring.pow(x, e), field) == naive
-            assert pow_mod(a, e, mod) == naive
         if irreducible:  # Frobenius: a**(p**d) = a in GF(p**d)
             assert ring.pow(x, p**d) == x
         assert ring.pow(x, 0) == 1
@@ -260,6 +246,45 @@ def test_split_matches_poly_reference(p, k):
             g = f * h * h * random_monic(field, rng, 1)  # repeated factors
             assert list(factor_degree_components(g)) == poly_degree_components(g), g
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (251, 1), (2, 2), (2, 3), (3, 2)])
+def test_irreducible_factors_divide_out(p, k):
+    # packed over GF(p), Poly residues over GF(4), GF(8) and GF(9)
+    field = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(12):
+        h = random_monic(field, rng, rng.randrange(1, 4))
+        f = random_monic(field, rng, rng.randrange(1, 8)) * h * h  # repeated factors
+        factors = list(irreducible_factors(f, rng))
+        assert len(set(factors)) == len(factors), f
+        assert [g.degree for g in factors] == sorted(g.degree for g in factors), f
+        rest = f
+        for g in factors:
+            assert g.is_monic and is_irreducible(g) and (f % g).is_zero, (f, g)
+            while (rest % g).is_zero:
+                rest //= g
+        assert rest.degree == 0, f
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 2), (3, 2)])
+def test_irreducible_factors_split_a_component(p, k):
+    # two irreducible cubics and two or three linears: both components of f
+    # hold several factors, so only the equal-degree split separates them
+    field = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    cubics = []
+    while len(cubics) < 2:
+        g = random_monic(field, rng, 3)
+        if is_irreducible(g) and g not in cubics:
+            cubics.append(g)
+    expected = [Poly.x_minus(field, c) for c in range(min(3, field.order))] + cubics
+    f = Poly.constant(field, 1)
+    for g in expected:
+        f = f * g
+    got = list(irreducible_factors(f, rng))
+    assert [g.degree for g in got] == sorted(g.degree for g in expected)
+    assert set(got) == set(expected)
 
 
 @pytest.mark.parametrize("p", [65537, 2**61 - 1])
