@@ -16,12 +16,26 @@ Larger ones are the packed poly.Ring over their defining polynomial (an
 int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
 Each representation binds its own dot and axpy row kernels.  Defining
 polynomials come from poly.is_irreducible.  An Embedding tabulates nothing.
+
+Every field has one packed view, Field.packed, with pack, unpack, mul and
+sub: the Ring itself above _TABLE_MAX, plain ints under the tables or mod
+p otherwise.  Packed residues are canonical and the packed 1 is the int 1,
+so == and hashing stay exact.  The big-field loops of a build (pow,
+element_of_order's candidates and its order test, _find_image's walk and
+poly.minimal_polynomial) pack each code once on the way in and unpack only
+what they return, where a code-level add or mul would convert both
+operands and the result every time.  element_of_order tests "w**(Q/r) != 1
+for every prime r | Q" by a product tree over the primes (Sutherland,
+Order Computations in Generic Groups, 2007), about log Q * log2(#primes)
+products instead of log Q per prime.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
+from types import SimpleNamespace
 from typing import Iterable
 
 from .arith import factor, is_prime
@@ -55,7 +69,7 @@ class Field:
     """
 
     __slots__ = (
-        "p", "k", "order", "modulus", "_inv_table", "_pack", "_unpack", "_pmul",
+        "p", "k", "order", "modulus", "_inv_table", "packed",
         "add", "sub", "neg", "mul", "dot", "axpy",
     )
 
@@ -63,19 +77,17 @@ class Field:
         self.p, self.k, self.order = p, k, p**k
         self.modulus = modulus  # little-endian, length k+1, monic
         self._inv_table = None
-        # code <-> the packed int that _pmul multiplies; packed 1 is 1
-        self._pack = self._unpack = int
         self.dot, self.axpy = self._dot, self._axpy
         if k == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
-            self.mul = self._pmul = lambda a, b: a * b % p
+            self.mul = lambda a, b: a * b % p
             self.dot = lambda xs, ys: sum(map(operator.mul, xs, ys)) % p
             self.axpy = lambda c, xs, ys: [(x + c * y) % p for x, y in zip(xs, ys)]
+            self.packed = SimpleNamespace(pack=int, unpack=int, mul=self.mul, sub=self.sub)
             return
-        ring = Ring(p, modulus)
-        self._pack, self._unpack, self._pmul = ring.pack, ring.unpack, ring.mul
+        self.packed = ring = Ring(p, modulus)  # pack, unpack, mul, sub; packed 1 is 1
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = int
@@ -88,6 +100,7 @@ class Field:
             self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
         if self.order <= _TABLE_MAX:
             self._tabulate()
+            self.packed = SimpleNamespace(pack=int, unpack=int, mul=self.mul, sub=self.sub)
 
     # -- representation ----------------------------------------------------
 
@@ -119,12 +132,12 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def _tabulate(self):
-        p, n = self.p, self.order - 1
-        for g in map(self._pack, range(p, n + 1)):
+        p, n, ring = self.p, self.order - 1, self.packed
+        for g in map(ring.pack, range(p, n + 1)):
             exp, x = [1], g
             while x != 1 and len(exp) <= n:  # at most q - 1 steps
-                exp.append(self._unpack(x))
-                x = self._pmul(x, g)
+                exp.append(ring.unpack(x))
+                x = ring.mul(x, g)
             if len(exp) == n:  # g is primitive
                 break
         else:
@@ -136,8 +149,7 @@ class Field:
         logs = log[1:]
         mul = [[0] * (n + 1)] + [[0] + [exp[i + j] for j in logs] for i in logs]
         self._inv_table = [0] + [exp[n - i] for i in logs]
-        self._pack = self._unpack = int
-        self._pmul = self.mul = lambda a, b: mul[a][b]
+        self.mul = lambda a, b: mul[a][b]
         if p == 2:
             self.axpy = lambda c, xs, ys: [x ^ y for x, y in zip(xs, map(mul[c].__getitem__, ys))]
             return
@@ -180,7 +192,8 @@ class Field:
         """a**e with e >= 0 (or e < 0 for invertible a)."""
         if e < 0:
             a, e = self.inv(a), -e
-        return self._unpack(power(self._pack(a), e, self._pmul))
+        ring = self.packed
+        return ring.unpack(power(ring.pack(a), e, ring.mul))
 
     def elements(self):
         return range(self.order)
@@ -221,29 +234,43 @@ def element_of_order(field: Field, q_ord: int, q_factors: list[tuple[int, int]])
 
     Scans candidates g in ascending element code order, starting at the
     residue class of t (at 2 in a prime field), and returns the first
-    omega = g ** ((p**k - 1) / q_ord) whose order survives every check
-    omega ** (q_ord / r) != 1 for the primes r dividing q_ord.
+    omega = g ** ((p**k - 1) / q_ord) with omega ** (q_ord / r) != 1 for
+    every prime r dividing q_ord.  That test runs packed, on a product tree
+    over the primes: _survives splits them in halves and stops at a node
+    that is already 1.
     """
     n = field.order - 1
     if q_ord < 1 or n % q_ord != 0:
         raise OrderDoesNotDivide(f"{q_ord} does not divide {field!r} group order {n}")
-    cofactor = n // q_ord
-    prime_quotients = [q_ord // r for r, _ in q_factors]
+    ring, cofactor = field.packed, n // q_ord
+    primes = [r for r, _ in q_factors]
+    radical_cofactor = q_ord // math.prod(primes)
     start = field.p if field.k > 1 else 2
     for g in range(start, field.order):
-        w = field.pow(g, cofactor)
+        w = power(ring.pack(g), cofactor, ring.mul)
         if w == 1 and q_ord > 1:
             continue
-        if all(field.pow(w, t) != 1 for t in prime_quotients):
-            return w
+        if not primes or _survives(power(w, radical_cofactor, ring.mul), primes, ring.mul):
+            return ring.unpack(w)
     raise OrderDoesNotDivide(f"no element of order {q_ord} found")  # unreachable
+
+
+def _survives(x: int, primes: list[int], mul) -> bool:
+    """Whether w**(Q/r) != 1 for every r in primes, given the packed
+    x = w**(Q / prod(primes)): each half's x is x to the other half's product."""
+    if x == 1 or len(primes) == 1:
+        return x != 1
+    left, right = primes[:len(primes) // 2], primes[len(primes) // 2:]
+    return (_survives(power(x, math.prod(right), mul), left, mul)
+            and _survives(power(x, math.prod(left), mul), right, mul))
 
 
 class Embedding:
     """Subfield embedding GF(p**k) -> GF(p**K) with k | K.
 
     The generator image g is the smallest root (in element code order) of
-    the small field's defining polynomial inside the big field.  lift is
+    the small field's defining polynomial inside the big field, found by a
+    packed walk over GF(p**k)* inside the big field.  lift is
     Horner's rule in g; project reduces digits against the k rows [digits
     of g**i | e_i] of a RowSpace over GF(p), so it is a membership test.
     """
@@ -265,13 +292,21 @@ class Embedding:
         small, big = self.small, self.big
         if small.k == 1:
             return 0  # root of the degree-1 convention polynomial t
-        sub_ord = small.order - 1
-        w = element_of_order(big, sub_ord, factor(sub_ord))
-        f, c = Poly(big, small.modulus), 1
+        ring, p, sub_ord = big.packed, small.p, small.order - 1
+        mul, sub = ring.mul, ring.sub
+        w = ring.pack(element_of_order(big, sub_ord, factor(sub_ord)))
+        negated = [-a % p for a in reversed(small.modulus[:-1])]  # GF(p) codes pack to themselves
+        c = 1
         for _ in range(sub_ord):  # c runs over GF(small)* inside big
-            if f.evaluate(c) == 0:  # the other roots are the conjugates of c
-                return min(big.pow(c, small.p**i) for i in range(small.k))
-            c = big.mul(c, w)
+            acc = 1  # Horner from the monic top: acc*c + a = acc*c - (-a)
+            for a in negated:
+                acc = sub(mul(acc, c), a)
+            if acc == 0:  # the other roots are the conjugates of c
+                conj = [c]
+                for _ in range(small.k - 1):
+                    conj.append(power(conj[-1], p, mul))
+                return min(map(ring.unpack, conj))
+            c = mul(c, w)
         raise RuntimeError("defining polynomial has no root in big field")
 
     def lift(self, a: int) -> int:

@@ -385,25 +385,28 @@ def minimal_polynomial(w: int, e: Embedding) -> Poly:
 
     Requires w to generate the full extension: the d = big.k / small.k
     Frobenius conjugates w ** (q**i) must be pairwise distinct, else
-    DegenerateConjugates.  The product of (t - conjugate) is expanded in
-    the big field and every coefficient is projected into the small field;
-    the projection doubling as a membership check is the correctness
-    proof that the result has small-field coefficients.
+    DegenerateConjugates.  The conjugates and the product of (t -
+    conjugate) stay in the big field's packed view, where residues are
+    canonical, and only the d + 1 coefficients are unpacked, each to be
+    projected into the small field; the projection doubling as a
+    membership check is the correctness proof that the result has
+    small-field coefficients.
     """
     big, small = e.big, e.small
-    q = small.order
-    d = big.k // small.k
-    conj = [w]
+    ring, q, d = big.packed, small.order, big.k // small.k
+    mul, sub = ring.mul, ring.sub
+    conj = [ring.pack(w)]
     for _ in range(d - 1):
-        conj.append(big.pow(conj[-1], q))
+        conj.append(power(conj[-1], q, mul))
     if len(set(conj)) != d:
         raise DegenerateConjugates(
             f"element {w} lies in a proper intermediate subfield"
         )
-    prod = Poly.constant(big, 1)
-    for c in conj:
-        prod = prod * Poly.x_minus(big, c)
-    return Poly(small, (e.project(c) for c in prod.coeffs))
+    prod = [1]  # little-endian packed coefficients of prod(t - c) so far
+    for c in conj:  # times (t - c): coefficient i becomes prod[i - 1] - c * prod[i]
+        prod = ([sub(0, mul(c, prod[0]))]
+                + [sub(a, mul(c, b)) for a, b in zip(prod, prod[1:])] + [1])
+    return Poly(small, (e.project(ring.unpack(c)) for c in prod))
 
 
 def signed_coeffs(f: Poly) -> list[int]:

@@ -18,6 +18,7 @@ from math import gcd
 
 import pytest
 
+from sl23 import construct
 from sl23.arith import factor, is_prime
 from sl23.certify import (
     MAX_Q_BITS,
@@ -32,6 +33,7 @@ from sl23.certify import (
     verify,
 )
 from sl23.construct import OutOfRange, Witness, build_generic
+from sl23.ff import make_field
 from sl23.meataxe import Verdict, scan_lines
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
@@ -494,6 +496,17 @@ def test_large_prime_field_certifies_and_verifies_fast():
     c = certify(9, 1000003)
     assert verify(c).ok
     assert time.perf_counter() - t0 < 2
+
+
+def test_large_fields_certify_and_verify_within_the_build_gate():
+    # every build works in GF(q**8), of degree 80 for q = 3**10; start from
+    # the empty caches of a fresh `sl23 certify`
+    for cached in (construct.build, construct.build_generic, make_field):
+        cached.cache_clear()
+    t0 = time.perf_counter()
+    for n, q in [(9, 3**10), (9, 10**6 + 3)]:
+        assert verify(certify(n, q)).ok, q
+    assert time.perf_counter() - t0 < 20
 
 
 def test_tamper_prime_pair(c103):

@@ -5,6 +5,7 @@ product order) plus display-grid cross-checks against hand-typed copies
 of the assembled product matrices.
 """
 
+import hashlib
 import math
 import random
 
@@ -274,3 +275,31 @@ def test_dispatcher():
     assert build(11, 5).tag == "sl11"
     with pytest.raises(UnsupportedN):
         build(8, 3)
+
+
+# sha256 of each rendered pair ("n q tag Q", then the rows of x and y), as
+# perfbench's gen-sweep renders it: odd extensions, char 2 and primes, all
+# with big fields of degree 8 to 88 above the tabled range.
+BUILD_SHA256 = {
+    (9, 27): "c8e577630ee6177c062f85b8a9897daeb261c77062893a3c522e5a078781f833",
+    (10, 49): "62a9d75e05af8c09d2ef374ac58f1027e26eb1f0fa45dcc62344e69c2669a874",
+    (11, 81): "72d88b00777cca46457f75599054611a1d3e0439537acf2657617593e3496d57",
+    (10, 125): "fbe5e2f85f124556027e1029c6868905a22ee10a39f0aae0878c103a85d3a744",
+    (9, 243): "b641924938de78d95a3d2a7fd96060996054ea132768b182174e598a1a1eb2b5",
+    (11, 243): "d03f2a6d49fac5d2052b63684ac6616b3f3f59de309cf631e3212f046f8a39b4",
+    (11, 32): "5db41590eb99e9677688a8914f408140c2ead771535f6eebd8e286f2b1e927ae",
+    (9, 128): "10be96d484d0ba3addabec92d67451417f5ec9b491351b10b4c129416df3c801",
+    (10, 256): "a7cf2c2fae37dd5eec2287d7dc0900e0d17a341fe297387e1052cc76f47bb749",
+    (11, 256): "fb6aeb917c0b2c54d805cc6a6f6230e2585c44564ff38aef8cd0269168005269",
+    (10, 101): "3566b939c3136cb30d7494195feb254c0b0a434551b03dc162df4cc2476cc7b6",
+    (9, 251): "b3930ed4533296d726037d106f12a59c898ccc97d4044af67cdbef141e1832b0",
+    (11, 251): "845e925b40662944c619c5e5d33c041b0457e43f9a68821e017f734caccd4915",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(BUILD_SHA256))
+def test_pinned_build_bytes(n, q):
+    pair = build(n, q)
+    rows = [" ".join(map(str, r)) for m in (pair.x, pair.y) for r in m.rows]
+    text = "\n".join([f"{n} {q} {pair.tag} {pair.Q}"] + rows) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_SHA256[(n, q)]
