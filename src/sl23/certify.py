@@ -276,11 +276,14 @@ def _has_prime_order(a: Mat, r: int) -> bool:
     return not a.is_identity and (a**r).is_identity
 
 
-def _has_order(a: Mat, N: int, factors) -> bool:
+def _has_order(a: Mat, N: int, factors, charpoly: Optional[Poly] = None) -> bool:
     """a has order N, given N = prod(r**e) over (r, e) in factors with
-    distinct primes r: one Krylov spin and a power per prime, no factoring."""
+    distinct primes r: t**N = 1 and one product tree over the primes modulo
+    m_a, no factoring.  A squarefree charpoly of a is m_a; without one,
+    Mat.order spins a for m_a."""
+    minpoly = charpoly if charpoly is not None and charpoly.is_squarefree else None
     try:
-        return a.order(factors) == N
+        return a.order(factors, minpoly) == N
     except NotAnnihilated:
         return False
 
@@ -343,7 +346,8 @@ def _sections(pair: GenPair, seed: int):
     yield "orders", {"x": "2", "y": "3", "z": str(Q)}, _ORDERS
     _prove(_has_prime_order(x, 2), "order of x")
     _prove(_has_prime_order(y, 3), "order of y")
-    _prove(_has_order(pair.z, Q, fs), "order of z")
+    cp = pair.z.charpoly()  # also the charpoly section's: z is spun for it alone
+    _prove(_has_order(pair.z, Q, fs, cp), "order of z")
     if tag != "special":
         _prove(Q == target_order(n, q), "Q value")
     ppd = None
@@ -355,7 +359,6 @@ def _sections(pair: GenPair, seed: int):
         yield "ppd", str(ppd), "primitive prime divisor"
         _prove(ppd is not None, "primitive prime divisor")
 
-    cp = pair.z.charpoly()
     expected = None
     if tag == "sl11":
         deltas = pair.deltas

@@ -25,9 +25,7 @@ element_of_order's candidates and its order test, _find_image's walk and
 poly.minimal_polynomial) pack each code once on the way in and unpack only
 what they return, where a code-level add or mul would convert both
 operands and the result every time.  element_of_order tests "w**(Q/r) != 1
-for every prime r | Q" by a product tree over the primes (Sutherland,
-Order Computations in Generic Groups, 2007), about log Q * log2(#primes)
-products instead of log Q per prime.
+for every prime r | Q" on poly.survives' product tree over the primes.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from types import SimpleNamespace
 from typing import Iterable
 
 from .arith import factor, is_prime
-from .poly import Poly, Ring, is_irreducible, power
+from .poly import Poly, Ring, is_irreducible, power, survives
 
 _TABLE_MAX = 256
 
@@ -236,7 +234,7 @@ def element_of_order(field: Field, q_ord: int, q_factors: list[tuple[int, int]])
     residue class of t (at 2 in a prime field), and returns the first
     omega = g ** ((p**k - 1) / q_ord) with omega ** (q_ord / r) != 1 for
     every prime r dividing q_ord.  That test runs packed, on a product tree
-    over the primes: _survives splits them in halves and stops at a node
+    over the primes: poly.survives splits them in halves and stops at a node
     that is already 1.
     """
     n = field.order - 1
@@ -250,19 +248,9 @@ def element_of_order(field: Field, q_ord: int, q_factors: list[tuple[int, int]])
         w = power(ring.pack(g), cofactor, ring.mul)
         if w == 1 and q_ord > 1:
             continue
-        if not primes or _survives(power(w, radical_cofactor, ring.mul), primes, ring.mul):
+        if survives(power(w, radical_cofactor, ring.mul), primes, ring.mul):
             return ring.unpack(w)
     raise OrderDoesNotDivide(f"no element of order {q_ord} found")  # unreachable
-
-
-def _survives(x: int, primes: list[int], mul) -> bool:
-    """Whether w**(Q/r) != 1 for every r in primes, given the packed
-    x = w**(Q / prod(primes)): each half's x is x to the other half's product."""
-    if x == 1 or len(primes) == 1:
-        return x != 1
-    left, right = primes[:len(primes) // 2], primes[len(primes) // 2:]
-    return (_survives(power(x, math.prod(right), mul), left, mul)
-            and _survives(power(x, math.prod(left), mul), right, mul))
 
 
 class Embedding:

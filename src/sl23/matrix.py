@@ -3,7 +3,8 @@ needs.  One row reduction, RowSpace, feeds kernels, determinants and one
 Krylov spin, from which minimal polynomials (Neunhoeffer & Praeger 2008)
 and characteristic polynomials (Keller-Gehrig 1985) are read.  Orders in
 GL_n are orders of t in poly.Ring over GF(p) modulo the lcm of m_A's
-Frobenius conjugates (Celler & Leedham-Green 1997).
+Frobenius conjugates (Celler & Leedham-Green 1997); a stated multiple of
+the order is proved exact on poly.survives' product tree.
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
@@ -11,11 +12,12 @@ Matrices are immutable: rows is a tuple of row tuples of element codes.
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
 from .ff import Field, make_field
-from .poly import Poly, Ring, factor_degree_components, power
+from .poly import Poly, Ring, factor_degree_components, power, survives
 
 
 class WrongShape(ValueError):
@@ -158,15 +160,19 @@ class Mat:
                 break
         return m
 
-    def order(self, bound=None) -> int:
+    def order(self, bound=None, minpoly=None) -> int:
         """Exact multiplicative order, or Singular: that of t mod m_p, the lcm
-        over GF(q) of m_A's Frobenius conjugates.  m_p lies over GF(p), as does
-        t**e - 1, which m_A divides iff m_p does.  The search starts from a
-        multiple N of the order: bound = [(r, e), ...] with distinct primes r
-        gives N = prod(r**e) (NotAnnihilated if the order does not divide
-        it), else N = p**ceil(log_p n) * lcm(p**d - 1), d over the degrees
-        of m_p's factors."""
-        f, m = self.field, self.minpoly()
+        over GF(q) of m_A's Frobenius conjugates.  m_A is minpoly if the caller
+        holds it (a squarefree charpoly is m_A), else self.minpoly().  m_p lies
+        over GF(p), as does t**e - 1, which m_A divides iff m_p does.  The
+        search starts from a multiple N of the order: bound = [(r, e), ...]
+        with distinct primes r gives N = prod(r**e) (NotAnnihilated if the
+        order does not divide it), else N = p**ceil(log_p n) * lcm(p**d - 1), d
+        over the degrees of m_p's factors.  With a bound, t**N = 1 and
+        poly.survives over N's primes prove that the order is N; only if some
+        t**(N/r) is 1 does order_from_bound bisect."""
+        f = self.field
+        m = self.minpoly() if minpoly is None else minpoly
         if m[0] == 0:
             raise Singular("zero determinant, no multiplicative order")
         mp = conj = m
@@ -178,14 +184,19 @@ class Mat:
         if any(c >= f.p for c in mp.coeffs):
             raise ArithmeticError(f"conjugate lcm of {m!r} is not over GF({f.p})")
         mp = Poly(make_field(f.p, 1), mp.coeffs)
+        ring = Ring(f.p, mp.coeffs)  # t**e stays packed: 1 is the int 1
+        t = ring.pack_poly(Poly.x(mp.field) % mp)
         if bound is None:
             powers = {f.p: next(e for e in range(1, self.n + 1) if f.p**e >= self.n)}
             for d, _ in factor_degree_components(mp):
                 for r, e in factor(f.p**d - 1):
                     powers[r] = max(powers.get(r, 0), e)
             bound = powers.items()
-        ring = Ring(f.p, mp.coeffs)  # t**e stays packed: 1 is the int 1
-        t = ring.pack_poly(Poly.x(mp.field) % mp)
+        else:
+            N, primes = prod(r**e for r, e in bound), [r for r, e in bound if e >= 1]
+            x = ring.pow(t, N // prod(primes))
+            if ring.pow(x, prod(primes)) == 1 and survives(x, primes, ring.mul):
+                return N
         return order_from_bound(lambda e: ring.pow(t, e) == 1, bound)
 
 

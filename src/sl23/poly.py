@@ -2,10 +2,12 @@
 
 A Poly is immutable: coeffs is a tuple with no trailing zeros, so the zero
 polynomial has coeffs == () and degree -1.  Only the operations the rest
-of the package needs live here (ring arithmetic, gcd, residue rings, the
-distinct irreducible factors, Ben-Or's irreducibility test, minimal
-polynomials over a subfield, and the signed coefficient reading used by
-the generator constructions); factor multiplicities deliberately do not.
+of the package needs live here (ring arithmetic, gcd, the derivative and
+the squarefree test, residue rings, the distinct irreducible factors,
+Ben-Or's irreducibility test, minimal polynomials over a subfield, the
+product-tree order test survives, and the signed coefficient reading
+used by the generator constructions); factor multiplicities deliberately
+do not.
 
 The distinct-degree split, Ben-Or's test (that split up to its first
 factor) and the Cantor-Zassenhaus equal-degree split behind
@@ -18,6 +20,7 @@ code, so the Field and Embedding types are needed here for annotations only.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -170,6 +173,18 @@ class Poly:
             a, b = b, a % b
         return a.monic() if a else a
 
+    def derivative(self) -> "Poly":
+        """sum(i * c_i * t**(i-1)): i acts as the prime-field code i mod p,
+        so a p-th power has derivative 0."""
+        f = self.field
+        return Poly(f, (f.mul(i % f.p, c) for i, c in enumerate(self.coeffs) if i))
+
+    @property
+    def is_squarefree(self) -> bool:
+        """f != 0 and gcd(f, f') = 1: over a finite field, f has no repeated
+        factor.  A nonconstant f with f' = 0 is a p-th power, and gcd(f, 0) = f."""
+        return bool(self) and self.gcd(self.derivative()).degree == 0
+
 
 def power(x, e: int, mul, one=1):
     """x**e for e >= 0 by square-and-multiply under the product mul: the
@@ -185,6 +200,21 @@ def power(x, e: int, mul, one=1):
         if e:
             x = mul(x, x)
     return one if result is None else result
+
+
+def survives(x, primes: Sequence[int], mul) -> bool:
+    """Whether w**(N/r) != 1 for every r in primes, a list of distinct
+    primes r | N, given x = w**(N / prod(primes)): each half's x is
+    x to the other half's product, and a node that is already 1 ends the
+    walk (Sutherland, Order Computations in Generic Groups, 2007).  About
+    log N * log2(#primes) products instead of log N per prime."""
+    if not primes:
+        return True
+    if x == 1 or len(primes) == 1:
+        return x != 1
+    left, right = primes[:len(primes) // 2], primes[len(primes) // 2:]
+    return (survives(power(x, math.prod(right), mul), left, mul)
+            and survives(power(x, math.prod(left), mul), right, mul))
 
 
 class Ring:

@@ -25,6 +25,7 @@ from sl23.certify import (
     MAX_Q_DEGREE,
     ClaimFailed,
     VerifyResult,
+    _has_order,
     certify,
     dumps,
     loads,
@@ -34,6 +35,7 @@ from sl23.certify import (
 )
 from sl23.construct import OutOfRange, Witness, build_generic
 from sl23.ff import make_field
+from sl23.matrix import Mat
 from sl23.meataxe import Verdict, scan_lines
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
@@ -446,6 +448,54 @@ def test_order_of_z_needs_no_factoring(monkeypatch):
     for n, q in GENERIC_AND_SL11:
         r = verify(certify(n, q))
         assert r.ok, (n, q, r.failed_claim)
+
+
+SPECIAL = [(9, 2), (9, 4), (10, 2), (10, 3), (10, 4)]
+VERIFY_PRIMES = [(n, q) for n in (9, 10, 11) for q in (17, 19, 23, 29)]
+
+
+@pytest.mark.parametrize("n,q", SPECIAL + GENERIC_AND_SL11 + VERIFY_PRIMES)
+def test_order_of_z_from_its_charpoly_agrees(n, q):
+    # charpoly(z) is squarefree for every pair, so it is m_z: the order read
+    # modulo it is the spun minimal polynomial's, and Q
+    pair = construct.build(n, q)
+    z, fs = pair.z, pair.Q_factors
+    cp = z.charpoly()
+    assert cp.is_squarefree and cp == z.minpoly()
+    assert z.order(fs, cp) == z.order(fs) == z.order() == pair.Q
+    assert _has_order(z, pair.Q, fs, cp)
+    for r, _ in fs:
+        assert not _has_order(z, pair.Q // r, factor(pair.Q // r), cp), r
+    assert not _has_order(z, pair.Q * 2, factor(pair.Q * 2), cp)
+
+
+def test_non_squarefree_charpolys_fall_back_to_the_spin():
+    f4, f5 = make_field(2, 2), make_field(5, 1)
+    jordan = Mat(f5, [[2 if i == j else int(j == i + 1) for j in range(3)] for i in range(3)])
+    diag = Mat(f5, [[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+    identity = Mat.identity(f4, 3)
+    for a, o in ((jordan, 20), (diag, 4), (identity, 1)):
+        cp = a.charpoly()
+        assert not cp.is_squarefree
+        assert a.order() == o and _has_order(a, o, factor(o), cp)
+        for wrong in {o * r for r in (2, 3, 5)} | {o // r for r, _ in factor(o)}:
+            assert not _has_order(a, wrong, factor(wrong), cp), (a, wrong)
+    # (t - 1)^3 is not m_I = t - 1: modulo it t has order 4, not 1
+    assert identity.order(None, identity.charpoly()) == 4
+
+
+@pytest.mark.parametrize("n,q,spins", [(9, 5, 2), (11, 3, 1)])
+def test_z_is_spun_only_for_its_charpoly(monkeypatch, n, q, spins):
+    # charpoly(z) serves the order of z and the charpoly section, so certify
+    # and verify each spin only for it: two spins for (9, 5), one for (11, 3)
+    construct.build(n, q)  # cached, so only the certificate's spins count
+    calls, spin = [], Mat._spin
+    monkeypatch.setattr(Mat, "_spin", lambda self, *a: calls.append(a) or spin(self, *a))
+    cert = certify(n, q)
+    assert len(calls) == spins
+    calls.clear()
+    assert verify(cert) == VerifyResult(True, None)
+    assert len(calls) == spins
 
 
 def test_tamper_seed(base):

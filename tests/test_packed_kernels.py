@@ -3,6 +3,8 @@
 element_of_order, Embedding._find_image and minimal_polynomial run in
 Field.packed; each reference below works on element codes with the
 field's own add, mul and pow, as those kernels did before they were packed.
+poly.survives, the product tree behind element_of_order and Mat.order, is
+checked against every prime quotient.
 """
 
 import math
@@ -10,9 +12,10 @@ import random
 
 import pytest
 
-from sl23.arith import factor, order_from_bound
-from sl23.ff import _survives, element_of_order, embed, make_field
-from sl23.poly import DegenerateConjugates, Poly, minimal_polynomial
+from sl23.arith import NotAnnihilated, factor, order_from_bound
+from sl23.ff import element_of_order, embed, make_field
+from sl23.matrix import Mat
+from sl23.poly import DegenerateConjugates, Poly, minimal_polynomial, survives
 
 # (small, big): untabled odd and char-2 extensions, a tabled extension
 # (GF(2^8) <= 256), a prime small field, and a prime big field.
@@ -73,7 +76,26 @@ def test_the_order_tree_matches_every_prime_quotient(small, big):
     for a in range(1, big.order, max(1, big.order // 300)):
         x = ring.pack(big.pow(a, N // math.prod(primes)))
         expected = all(big.pow(a, N // r) != 1 for r in primes)
-        assert _survives(x, primes, ring.mul) == expected, a
+        assert survives(x, primes, ring.mul) == expected, a
+    assert survives(1, [], ring.mul)  # no prime, so none is 1: N = 1
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
+def test_a_surplus_prime_power_falls_back_to_bisection(monkeypatch, p, k):
+    # Mat.order settles an exact bound on the tree alone; a surplus prime
+    # power is 1 at t**(N/r), and only then does order_from_bound bisect
+    f = make_field(p, k)
+    a = Mat(f, [[2 if i == j else int(j == i + 1) for j in range(3)] for i in range(3)])
+    o = a.order()
+    calls, bisect = [], order_from_bound
+    monkeypatch.setattr("sl23.matrix.order_from_bound",
+                        lambda *args: calls.append(args) or bisect(*args))
+    assert a.order(factor(o)) == o and not calls
+    surplus = factor(o * p**3 * 7**2)
+    assert a.order(surplus) == o and len(calls) == 1
+    with pytest.raises(NotAnnihilated):
+        a.order(factor(o // p))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("small,big", CASES, ids=IDS)

@@ -317,6 +317,62 @@ def test_evaluate():
     assert f.evaluate(2) == (8 + 8 + 3) % 7
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 2), (251, 1)])
+def test_derivative_is_a_derivation(p, k):
+    field = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    t = Poly.x(field)
+    assert t.derivative() == Poly.constant(field, 1)
+    assert Poly.constant(field, field.order - 1).derivative().is_zero
+    for _ in range(40):
+        f, g = random_poly(field, rng, 8), random_poly(field, rng, 8)
+        assert (f + g).derivative() == f.derivative() + g.derivative()
+        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+        # (t - a)^p = t^p - a^p, so a p-th power has derivative 0
+        assert power(f, p, Poly.__mul__, Poly.constant(field, 1)).derivative().is_zero
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (3, 2), (251, 1)])
+def test_p_th_powers_are_not_squarefree(p, k):
+    field = make_field(p, k)
+    rng = random.Random(p + k)
+    t = Poly.x(field)
+    tp = power(t, p, Poly.__mul__)
+    assert tp.derivative().is_zero and not tp.is_squarefree
+    for a in [1, field.order - 1] + [rng.randrange(field.order) for _ in range(5)]:
+        f = tp - Poly.constant(field, field.pow(a, p))  # (t - a)^p
+        assert f.derivative().is_zero and not f.is_squarefree, a
+    g = random_monic(field, rng, 3)
+    assert not power(g, p, Poly.__mul__).is_squarefree
+    assert not Poly(field).is_squarefree
+    assert Poly.constant(field, 1).is_squarefree
+
+
+@pytest.mark.parametrize("p,k,max_degree", [(2, 1, 8), (3, 1, 5), (3, 2, 3)])
+def test_is_squarefree_counts_every_monic_polynomial(p, k, max_degree):
+    # Carlitz: GF(q) has q^d - q^(d-1) squarefree monics of degree d >= 2
+    field = make_field(p, k)
+    q = field.order
+    for d in range(2, max_degree + 1):
+        hits = sum(Poly(field, low + (1,)).is_squarefree
+                   for low in itertools.product(range(q), repeat=d))
+        assert hits == q**d - q ** (d - 1), (q, d)
+
+
+def test_is_squarefree_matches_a_square_factor_over_gf251():
+    field = make_field(251, 1)
+    rng = random.Random(251)
+    for _ in range(60):
+        f, g = random_monic(field, rng, rng.randrange(1, 5)), random_monic(field, rng, 1)
+        assert not (f * g * g).is_squarefree
+        roots = rng.sample(range(251), rng.randrange(1, 9))
+        h = Poly.constant(field, 1)
+        for a in roots:
+            h = h * Poly.x_minus(field, a)
+        assert h.is_squarefree  # distinct linear factors
+        assert (h * Poly.x_minus(field, roots[0])).is_squarefree is False
+
+
 def test_is_irreducible_known_cases():
     f2 = make_field(2, 1)
     f3 = make_field(3, 1)
