@@ -6,12 +6,16 @@ order: version, n, q, p, m, construction (plus words and prime_pair for a
 special pair), field, matrices, Q, Q_factors, orders, ppd (generic9 and
 generic10: the least prime r | Q modulo which q has order n - 1), charpoly,
 alphas (generic) or deltas (sl11), irreducibility, maxsub_scan (sl11),
-assumptions, seed.  irreducibility holds the exact line scan, and the
-MeatAxe only for special pairs.  For generic tags charpoly(z) = (t - a) f
-with f irreducible, so V is a line plus a hyperplane, simple non-isomorphic
-F_q[z]-modules and the only proper nonzero z-invariant subspaces; the scan
-rules both out for <x, y>.  For sl11 charpoly(z) is irreducible, so V is
-simple under z alone.  One section list, _sections, feeds both sides:
+assumptions, seed.  irreducibility holds the "scan verdict", and the
+"meataxe verdict" only for special pairs, whose scan is the exact
+meataxe.scan_lines.  For generic tags charpoly(z) = (t - a) f with f
+irreducible, so the line E = ker(z - a) and the hyperplane W = ker f(z),
+simple non-isomorphic F_q[z]-modules, are the only proper nonzero
+z-invariant subspaces; meataxe.scan_eigenlines checks that x and y fix
+neither E nor the annihilator of W, ker(z^T - a).  For sl11 charpoly(z)
+is irreducible ("irreducibility of charpoly"), so V is simple under z
+alone and the scan verdict records that claim with no further check.
+One section list, _sections, feeds both sides:
 certify() takes each section from it, and verify() rebuilds each one from
 the serialized matrices and the facts a certificate states, then compares.
 What cannot be recomputed (the completeness of the published subgroup
@@ -45,7 +49,7 @@ from .construct import (
 )
 from .ff import Field, make_field
 from .matrix import Mat, check_word, eval_word
-from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_lines
+from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_eigenlines, scan_lines
 from .poly import Poly, from_signed_coeffs, is_irreducible, read_degree11
 
 VERSION = "2"
@@ -368,8 +372,8 @@ def _sections(pair: GenPair, seed: int):
         alphas = pair.alphas
         _prove(len(alphas) == n - 1 and all(a < field.order for a in alphas)
                and alphas[-1] != 0, "alpha list")
-        f = from_signed_coeffs(field, alphas)
-        expected = Poly.x_minus(field, field.inv(alphas[-1])) * f
+        f, a = from_signed_coeffs(field, alphas), field.inv(alphas[-1])
+        expected = Poly.x_minus(field, a) * f
     yield "charpoly", {"z": _poly_json(cp), "expected": _poly_json(expected)}, _CHARPOLY
     _prove(expected is None or expected == cp, "charpoly identity")
     if tag == "sl11":
@@ -384,13 +388,16 @@ def _sections(pair: GenPair, seed: int):
     meataxe = {"meataxe": "irreducible"} if tag == "special" else {}
     yield "irreducibility", {"scan": "irreducible", **meataxe,
                              "seed": str(seed)}, _IRREDUCIBILITY
-    _prove(scan_lines(x, y).irreducible, "scan verdict")
-    if tag == "special":  # for the others charpoly(z), proved above, and the scan suffice
+    if tag == "special":
+        _prove(scan_lines(x, y).irreducible, "scan verdict")
         try:
             irreducible = is_irreducible_module([x, y], seed=seed).irreducible
         except InconclusiveAfterRetries:
             irreducible = False
         _prove(irreducible, "meataxe verdict")
+    elif tag != "sl11":  # z leaves only E = ker(z - a) and W invariant
+        _prove(scan_eigenlines(x, y, pair.z, a).irreducible, "scan verdict")
+    # sl11 needs no check: "irreducibility of charpoly" made V simple under z
     for w in pair.words:  # every element order in GL_n(q) is below q**n
         c = w.claimed_order
         _prove(0 < c < q**n and _has_order(eval_word(w.letters, x, y), c, factor(c)),

@@ -149,7 +149,7 @@ class Field:
         self._inv_table = [0] + [exp[n - i] for i in logs]
         self.mul = lambda a, b: mul[a][b]
         if p == 2:
-            self.axpy = lambda c, xs, ys: [x ^ y for x, y in zip(xs, map(mul[c].__getitem__, ys))]
+            self.axpy = lambda c, xs, ys: list(map(operator.xor, xs, map(mul[c].__getitem__, ys)))
             return
         add, neg, P = [[0]], [0], 1
         for _ in range(self.k):  # GF(p**j) to GF(p**(j+1)): a = r + P*h, P = p**j

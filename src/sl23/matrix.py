@@ -232,13 +232,13 @@ class RowSpace:
         """The pivot entry of vec reduced by the basis, before it is scaled
         to 1: nonzero, so true, iff vec enlarged the space, else 0."""
         v = self.reduce(vec)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
+        c = next(filter(None, v), 0)  # the first nonzero entry, found in C
+        if not c:
             return 0
-        f = self.field  # v scaled to pivot 1 by the row kernel, as 0 + c * v
-        self.echelon.append(tuple(f.axpy(f.inv(v[piv]), (0,) * len(v), v)))
-        self.pivots.append(piv)
-        return v[piv]
+        f = self.field  # v scaled to pivot 1 by the row kernel, as 0 + c**-1 * v
+        self.echelon.append(tuple(f.axpy(f.inv(c), (0,) * len(v), v)))
+        self.pivots.append(v.index(c))
+        return c
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))

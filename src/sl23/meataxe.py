@@ -6,6 +6,11 @@ Two independent checks are provided:
   order-3 generator pair (eigenvalue pairs are limited to cube and square
   roots of unity) and repeats the scan on the transposed pair, which
   detects invariant hyperplanes as invariant lines of the dual module.
+  scan_eigenlines reaches the same verdict with two kernels when z = xy
+  has charpoly (t - a) f and f has no root in GF(q): then the only
+  candidates are the eigenlines ker(z - a) and ker(z^T - a).  certify
+  runs scan_lines for special pairs and scan_eigenlines for generic ones;
+  an sl11 pair needs neither, as its charpoly(z) is irreducible.
 * is_irreducible_module is the MeatAxe, the classical randomized algebra
   test (Holt & Rees 1994): find an algebra element with an irreducible
   characteristic factor g whose kernel has dimension exactly deg g;
@@ -13,8 +18,8 @@ Two independent checks are provided:
   irreducibility outright.  The factors g come from
   poly.irreducible_factors; this file keeps no polynomial code of its own.
 
-Both emit Verdicts whose reducibility witnesses are re-verified invariant
-subspaces, never raw guesses.
+Each check emits Verdicts whose reducibility witnesses are re-verified
+invariant subspaces, never raw guesses.
 """
 
 from __future__ import annotations
@@ -108,6 +113,13 @@ def _assert_invariant(basis: Sequence[Sequence[int]], gens: Sequence[Mat]) -> No
                 raise ArithmeticError("witness subspace is not invariant")  # unreachable
 
 
+def _minus(a: Mat, c: int) -> list:
+    """The rows of a - c*I."""
+    sub = a.field.sub
+    return [[sub(e, c) if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(a.rows)]
+
+
 def scan_lines(x: Mat, y: Mat) -> Verdict:
     """Search for a common eigenvector of the pair, then of the transposes.
 
@@ -124,18 +136,37 @@ def scan_lines(x: Mat, y: Mat) -> Verdict:
         w = element_of_order(field, 3, [(3, 1)])
         lambdas = sorted([1, w, field.mul(w, w)])
     nus = sorted({1, field.neg(1)})
-
-    def minus(a: Mat, c: int) -> list:  # the rows of a - c*I
-        return [[field.sub(e, c) if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate(a.rows)]
-
     for side, (xx, yy) in (("natural", (x, y)), ("dual", (x.T, y.T))):
         for lam in lambdas:
             for nu in nus:
-                null = kernel(field, minus(yy, lam) + minus(xx, nu))
+                null = kernel(field, _minus(yy, lam) + _minus(xx, nu))
                 if null:
                     _assert_invariant([null[0]], [xx, yy])
                     return Verdict(irreducible=False, side=side, basis=(null[0],))
+    return Verdict(irreducible=True)
+
+
+def scan_eigenlines(x: Mat, y: Mat, z: Mat, a: int) -> Verdict:
+    """The verdict of scan_lines for z = x*y with charpoly (t - a) f, where
+    f has no root in GF(q), as an irreducible f of degree >= 2 has none.
+
+    An <x, y>-invariant line is z-invariant, so it lies in the only
+    eigenspace of z, the line ker(z - a).  The annihilator of an invariant
+    hyperplane is likewise ker(z^T - a), since (x*y)^T = y^T x^T.  So one
+    kernel and two images per side decide the scan: natural side first, as
+    in scan_lines.  With f irreducible, ker(z - a) and ker f(z) are the only
+    proper nonzero z-invariant subspaces, so the verdict is the module's.
+    ValueError if ker(z - a) is not a line.
+    """
+    n, field = _check_gens([x, y, z])
+    for side, (xx, yy, zz) in (("natural", (x, y, z)), ("dual", (x.T, y.T, z.T))):
+        null = kernel(field, _minus(zz, a))
+        if len(null) != 1:
+            raise ValueError("ker(z - a) is not a line")
+        line = RowSpace(field, n)
+        line.add(null[0])
+        if line.contains(xx.apply(null[0])) and line.contains(yy.apply(null[0])):
+            return Verdict(irreducible=False, side=side, basis=(null[0],))
     return Verdict(irreducible=True)
 
 

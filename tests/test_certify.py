@@ -36,7 +36,7 @@ from sl23.certify import (
 from sl23.construct import OutOfRange, Witness, build_generic
 from sl23.ff import make_field
 from sl23.matrix import Mat
-from sl23.meataxe import Verdict, scan_lines
+from sl23.meataxe import Verdict, scan_eigenlines, scan_lines
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
 
@@ -337,6 +337,7 @@ def test_early_exits_skip_the_module_checks(monkeypatch):
         raise AssertionError("an irreducibility check ran")
 
     monkeypatch.setattr("sl23.certify.scan_lines", unreachable)
+    monkeypatch.setattr("sl23.certify.scan_eigenlines", unreachable)
     monkeypatch.setattr("sl23.certify.is_irreducible_module", unreachable)
     for name in ("x", "y"):
         for i in range(9):
@@ -356,8 +357,8 @@ def test_early_exits_skip_the_module_checks(monkeypatch):
 @pytest.mark.parametrize("n,q,tag", [(9, 5, "generic9"), (10, 5, "generic10"),
                                      (11, 2, "sl11"), (9, 2, "special")])
 def test_only_special_pairs_run_the_meataxe(monkeypatch, n, q, tag):
-    # charpoly(z) and the exact line scan prove the generic and sl11
-    # modules irreducible; the special pairs keep the MeatAxe
+    # charpoly(z), with the eigenline check for the generic tags, proves the
+    # generic and sl11 modules irreducible; the special pairs keep the MeatAxe
     cert = certify(n, q)
     assert cert["construction"]["tag"] == tag
 
@@ -374,6 +375,42 @@ def test_only_special_pairs_run_the_meataxe(monkeypatch, n, q, tag):
         assert list(cert["irreducibility"]) == ["scan", "seed"]
         assert certify(n, q) == cert
         assert verify(cert) == VerifyResult(True, None)
+
+
+def _counted(monkeypatch, real):
+    """Patch sl23.certify's binding of real to record each call, then run it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(f"sl23.certify.{real.__name__}", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,q,tag", [(9, 5, "generic9"), (10, 7, "generic10"),
+                                     (11, 3, "sl11"), (11, 17, "sl11"), (10, 4, "special")])
+def test_only_special_pairs_run_the_full_line_scan(monkeypatch, n, q, tag):
+    # certify and verify each check the eigenlines of z and z^T for a
+    # generic pair, and nothing for sl11 after "irreducibility of charpoly"
+    scans = _counted(monkeypatch, scan_lines)
+    eigenlines = _counted(monkeypatch, scan_eigenlines)
+    cert = certify(n, q)
+    assert cert["construction"]["tag"] == tag
+    assert verify(cert) == VerifyResult(True, None)
+    expected = {"special": (2, 0), "sl11": (0, 0)}.get(tag, (0, 2))
+    assert (len(scans), len(eigenlines)) == expected
+
+
+@pytest.mark.parametrize("n,q", [(9, 5), (10, 7)])
+def test_a_reducible_eigenline_verdict_fails_as_scan_verdict(monkeypatch, n, q):
+    cert = certify(n, q)
+    line = Verdict(irreducible=False, side="natural", basis=((1,) + (0,) * (n - 1),))
+    monkeypatch.setattr("sl23.certify.scan_eigenlines", lambda x, y, z, a: line)
+    with pytest.raises(ClaimFailed, match="scan verdict"):
+        certify(n, q)
+    assert verify(cert) == VerifyResult(False, "scan verdict")
 
 
 def test_sl11_charpoly_must_be_irreducible(monkeypatch):

@@ -7,8 +7,15 @@ import pytest
 from sl23.construct import build_generic, build_sl11, build_special
 from sl23.ff import make_field
 from sl23.matrix import Mat
-from sl23.meataxe import ZeroSeed, _poly_at_matrix, is_irreducible_module, scan_lines, spin
-from sl23.poly import Poly
+from sl23.meataxe import (
+    ZeroSeed,
+    _poly_at_matrix,
+    is_irreducible_module,
+    scan_eigenlines,
+    scan_lines,
+    spin,
+)
+from sl23.poly import Poly, from_signed_coeffs, is_irreducible
 
 
 def brute_force_reducible(gens):
@@ -69,6 +76,39 @@ def test_scan_lines_identity_pair():
     assert not v.irreducible
     assert v.side == "natural"
     assert v.basis is not None
+
+
+_EXCLUDED = {(9, 2), (9, 4), (10, 2), (10, 3), (10, 4)}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
+                               27, 29, 31, 32, 49, 64])
+def test_scan_eigenlines_agrees_with_scan_lines(n, q):
+    # every raw instantiation has charpoly(z) = (t - a) f with f irreducible,
+    # so the eigenline of z and that of z^T decide what the full scan does;
+    # the transposed pair swaps lines and hyperplanes, so its witness is dual
+    pair = build_generic(n, q, unchecked=True)
+    field = pair.field
+    assert is_irreducible(from_signed_coeffs(field, pair.alphas))
+    a = field.inv(pair.alphas[-1])
+    for x, y, side in ((pair.x, pair.y, "natural"), (pair.x.T, pair.y.T, "dual")):
+        full, fast = scan_lines(x, y), scan_eigenlines(x, y, x * y, a)
+        assert (fast.irreducible, fast.side) == (full.irreducible, full.side)
+        assert fast.irreducible == ((n, q) not in _EXCLUDED)
+        if not fast.irreducible:
+            assert fast.side == side and len(fast.basis) == 1
+            gens = [x, y] if side == "natural" else [x.T, y.T]
+            assert spin(fast.basis[0], gens).dimension == 1
+
+
+def test_scan_eigenlines_needs_a_simple_eigenvalue():
+    f5 = make_field(5, 1)
+    ident = Mat.identity(f5, 3)
+    with pytest.raises(ValueError, match="is not a line"):
+        scan_eigenlines(ident, ident, ident, 1)
+    with pytest.raises(ValueError, match="is not a line"):
+        scan_eigenlines(ident, ident, ident, 2)
 
 
 def test_out_of_range_shapes_are_reducible():
