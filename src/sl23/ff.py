@@ -15,7 +15,9 @@ of the least primitive element, add (odd p) built digit by digit.
 Larger ones are the packed poly.Ring over their defining polynomial (an
 int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
 Each representation binds its own dot and axpy row kernels.  Defining
-polynomials come from poly.is_irreducible.  An Embedding tabulates nothing.
+polynomials come from poly.is_irreducible (Ben-Or, its gcds batched into
+one running product), after a sieve that drops, for p <= _TABLE_MAX, every
+candidate with a root in GF(p).  An Embedding tabulates nothing.
 
 Every field has one packed view, Field.packed, with pack, unpack, mul and
 sub: the Ring itself above _TABLE_MAX, plain ints under the tables or mod
@@ -204,14 +206,33 @@ class Field:
 
 def _defining_poly(p: int, k: int) -> tuple[int, ...]:
     """The first monic irreducible over GF(p) in the lexicographic order of
-    (c_0, ..., c_{k-1}); the c_0 = 0 block is divisible by t, so skip it."""
+    (c_0, ..., c_{k-1}); the c_0 = 0 block is divisible by t, so skip it.
+
+    c = c_{k-1} runs fastest, so each block of p candidates is t**k +
+    c*t**(k-1) + g(t) with g fixed, and a in GF(p)* is a root exactly when
+    c = -a - g(a) * a**(1-k).  For p <= _TABLE_MAX those c are found once
+    per block, by evaluating g at all p - 1 values of a together, one term
+    c_j * a**j per nonzero c_j of g (the first candidates are sparse), and
+    skipped: with k >= 2 each is reducible.  Above that bound the sieve is
+    empty.  Only the rest reach is_irreducible.
+    """
     if k == 1:
         return (0, 1)  # the polynomial t: GF(p) is GF(p)[t]/(t)
     prime = make_field(p, 1)
-    for i in range(p ** (k - 1), p**k):  # c_0 is the leading base-p digit of i
-        coeffs = [i // p**j % p for j in range(k - 1, -1, -1)] + [1]
-        if is_irreducible(Poly(prime, coeffs)):
-            return tuple(coeffs)
+    roots = range(1, p) if p <= _TABLE_MAX else range(0)
+    powers = [[pow(a, j, p) for a in roots] for j in range(k - 1)]
+    scales = [pow(a, 1 - k, p) for a in roots]
+    weights = [p**j for j in range(k - 2, -1, -1)]
+    for i in range(p ** (k - 2), p ** (k - 1)):  # c_0 is the leading base-p digit of i
+        low = [i // w % p for w in weights]
+        values = [0] * len(roots)  # g(a) for each a in roots
+        for c, column in zip(low, powers):
+            if c:
+                values = [v + c * aj for v, aj in zip(values, column)]
+        rooted = {(-a - v * s) % p for a, v, s in zip(roots, values, scales)}
+        for c in range(p):
+            if c not in rooted and is_irreducible(Poly(prime, low + [c, 1])):
+                return tuple(low + [c, 1])
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 

@@ -9,10 +9,12 @@ product-tree order test survives, and the signed coefficient reading
 used by the generator constructions); factor multiplicities deliberately
 do not.
 
-The distinct-degree split, Ben-Or's test (that split up to its first
-factor) and the Cantor-Zassenhaus equal-degree split behind
-irreducible_factors run in residue_ring(f), one per modulus: over GF(p) the
-packed Ring, where a product or a gcd step is a few int operations, else Poly.
+The distinct-degree split, Ben-Or's test (the same rounds u -> u**Q, but
+with the factors u - t multiplied into one running product whose gcd with
+f is taken only at rounds 1, 2, 4, 8, ... and the last) and the
+Cantor-Zassenhaus equal-degree split behind irreducible_factors run in
+residue_ring(f), one per modulus: over GF(p) the packed Ring, where a
+product or a gcd step is a few int operations, else Poly.
 Matrix orders power in Ring over GF(p) for every field, and ff.Field's
 large extension fields are Rings.  This is the package's only polynomial
 code, so the Field and Embedding types are needed here for annotations only.
@@ -396,18 +398,34 @@ def irreducible_factors(f: Poly, rng) -> Iterator[Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's irreducibility test over the coefficient field.
+    """Ben-Or's irreducibility test over the coefficient field, its gcds
+    batched.
 
-    f of degree d over GF(Q) is irreducible iff gcd(t**(Q**i) - t, f) == 1
-    for every 1 <= i <= d/2: a reducible f has an irreducible factor of
-    some degree i <= d/2, and that factor divides t**(Q**i) - t.  These are
-    the distinct-degree split's rounds up to its first factor, usually few.
+    f of degree n over GF(Q) is irreducible iff gcd(f, prod of t**(Q**i) - t
+    over 1 <= i <= d) == 1 for d = n // 2.  A reducible f has an irreducible
+    factor h of degree j <= n/2, and h | t**(Q**j) - t, so h divides the
+    product; an irreducible f is prime and divides no t**(Q**i) - t with
+    i < n, so the gcd is 1.  u = t**(Q**d) and the running product acc stay
+    in residue_ring(f), and the gcd is taken only at d = 1, 2, 4, 8, ...
+    and at the last round, so a rejection still exits early (at d = 1 for a
+    root in GF(Q)) and an irreducible f pays about log2(n) gcds, not n/2.
     """
     if not f.is_monic:
         raise NotMonic(f"irreducibility requires a monic polynomial, got {f!r}")
     if f.degree < 1:
         raise WrongShape("constant polynomials are neither")
-    return next(factor_degree_components(f))[0] == f.degree
+    field, last = f.field, f.degree // 2
+    ring = residue_ring(f)
+    t, F, one = map(ring.pack_poly, (Poly.x(field) % f, f, Poly.constant(field, 1)))
+    u, acc, check = t, one, 1
+    for d in range(1, last + 1):
+        u = ring.pow(u, field.order)
+        acc = ring.mul(acc, ring.sub(u, t))
+        if d == check or d == last:
+            if ring.gcd(F, acc) != one:
+                return False
+            check *= 2
+    return True
 
 
 def minimal_polynomial(w: int, e: Embedding) -> Poly:

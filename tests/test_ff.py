@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, Frobenius, embeddings, element orders."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from sl23.arith import NotAnnihilated, factor, order_from_bound
 from sl23.ff import (
+    _defining_poly,
     InvalidPrime,
     NoEmbedding,
     NotInSubfield,
@@ -17,6 +19,7 @@ from sl23.ff import (
     embed,
     make_field,
 )
+from sl23.poly import Poly, is_irreducible
 
 SMALL = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
 
@@ -392,6 +395,8 @@ SWEEP_MODULI = {
     (13, 18): 134414155055002327883,
     (199, 9): 509102816315774670407,
     (251, 11): 255076434748515990410955258,
+    (251, 9): 4190553682342591032267,  # the last sieved prime
+    (257, 9): 5043254219894291712266,  # the first unsieved one
 }
 
 
@@ -400,6 +405,35 @@ def test_sweep_field_moduli_are_pinned():
         modulus = make_field(p, k).modulus
         assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
         assert sum(c * p**i for i, c in enumerate(modulus)) == code, (p, k)
+
+
+def first_irreducible_by_trial_division(p, k):
+    """The first monic (c_0, ..., c_{k-1}, 1) in lexicographic order with no
+    monic divisor of degree 1 .. k // 2: no root in GF(p) once k >= 2."""
+    field = make_field(p, 1)
+    divisors = [Poly(field, low + (1,)) for d in range(2, k // 2 + 1)
+                for low in itertools.product(range(p), repeat=d)]
+    for low in itertools.product(range(p), repeat=k):
+        f = Poly(field, low + (1,))
+        if (k == 1 or all(f.evaluate(a) for a in range(p))) and all(f % g for g in divisors):
+            return low + (1,)
+
+
+@pytest.mark.parametrize("p,max_k", [(2, 6), (3, 6), (5, 6), (7, 6), (11, 6), (13, 6),
+                                     (251, 3), (257, 3)])
+def test_defining_poly_is_the_first_irreducible_on_both_sides_of_the_sieve(p, max_k):
+    for k in range(1, max_k + 1):
+        assert _defining_poly(p, k) == first_irreducible_by_trial_division(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(199, 9), (3, 44)])
+def test_no_candidate_with_a_root_reaches_ben_or(monkeypatch, p, k):
+    seen = []
+    monkeypatch.setattr("sl23.ff.is_irreducible", lambda f: seen.append(f) or is_irreducible(f))
+    modulus = _defining_poly(p, k)
+    assert seen[-1].coeffs == modulus
+    for f in seen:
+        assert all(f.evaluate(a) for a in range(p)), f
 
 
 def test_a_reducible_modulus_raises_instead_of_hanging():

@@ -248,6 +248,49 @@ def test_split_matches_poly_reference(p, k):
     assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize(
+    "p,k,max_degree", [(2, 1, 7), (3, 1, 5), (5, 1, 4), (2, 2, 3), (3, 2, 3)]
+)
+def test_batched_ben_or_matches_poly_reference_on_every_monic(p, k, max_degree):
+    # every monic polynomial, so every product with repeated factors too;
+    # packed over GF(p), Poly residues over GF(4) and GF(9)
+    field = make_field(p, k)
+    for d in range(1, max_degree + 1):
+        for low in itertools.product(range(field.order), repeat=d):
+            f = Poly(field, low + (1,))
+            assert is_irreducible(f) == (poly_degree_components(f)[0][0] == d), f
+
+
+def test_batched_ben_or_when_the_running_product_vanishes():
+    # t**(Q**d) - t is 0 mod f once f divides it, and so is the product
+    for p in (2, 3, 5):
+        field = make_field(p, 1)
+        t, one = Poly.x(field), Poly.constant(field, 1)
+        for d in (1, 2, 3):
+            f = power(t, p**d, Poly.__mul__) - t  # every irreducible of degree | d
+            assert not is_irreducible(f), (p, d)
+        assert not is_irreducible(t * (t + one)), p
+        assert not is_irreducible(t * t * t), p
+
+
+def test_batched_ben_or_checks_round_one_and_the_last_round(monkeypatch):
+    rounds = []
+    monkeypatch.setattr("sl23.poly.power", lambda *args: rounds.append(1) or power(*args))
+    field = make_field(10**6 + 3, 1)
+    t = Poly.x(field)
+    irreducible = next(f for c in range(1, field.order)
+                       if is_irreducible(f := power(t, 9, Poly.__mul__) + Poly.x_minus(field, c)))
+    rounds.clear()
+    assert not is_irreducible(irreducible * Poly.x_minus(field, 5))  # root: out at round 1
+    assert len(rounds) == 1
+    cubic = next(f for c in range(1, field.order)
+                 if is_irreducible(f := t * t * t + Poly.x_minus(field, c)))
+    assert not is_irreducible(cubic * cubic)  # first factor only at round 3 = 6 // 2
+    rounds.clear()
+    assert is_irreducible(irreducible)
+    assert len(rounds) == 9 // 2
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (251, 1), (2, 2), (2, 3), (3, 2)])
 def test_irreducible_factors_divide_out(p, k):
     # packed over GF(p), Poly residues over GF(4), GF(8) and GF(9)
