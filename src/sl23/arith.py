@@ -2,18 +2,22 @@
 element orders.
 
 Everything here is deterministic.  Primality uses Miller-Rabin with a fixed
-witness set that is known to be exact below 3.3 * 10**24; factoring uses
-trial division by a sieved prime table followed by Brent's variant of the
-Pollard rho method with a fixed parameter schedule, so repeated runs always
-walk the same path.  Factorizations are returned as ascending
+witness set that is known to be exact below 3.3 * 10**24.  Factoring uses
+trial division by the primes below 10^4, then splits each composite
+cofactor by racing Brent's variant of the Pollard rho method (Brent 1980)
+against Pollard's p - 1 method (Pollard 1974; B1 = 10^4, stage 2 up to
+2^20), the one that has spent fewer modular products running next and rho
+a few thousand products ahead.  Both have fixed parameters, so repeated
+runs always walk the same path.  Factorizations are returned as ascending
 (prime, exponent) lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Callable
+from typing import Callable, Generator
 
 
 class NotPrimePower(ValueError):
@@ -92,13 +96,21 @@ def is_prime(n: int) -> bool:
     return not any(_mr_witness(a % n, d, r, n) for a in bases)
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+def _sieve(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p < hi, ascending: a segment of the sieve of
+    Eratosthenes over the odd numbers, striking each odd prime below
+    sqrt(hi) from its square on."""
+    out = [2] if lo <= 2 < hi else []
+    lo = max(lo, 3) | 1
+    if hi <= lo:
+        return out
+    flags = bytearray([1]) * len(range(lo, hi, 2))
+    for p in _sieve(3, math.isqrt(hi - 1) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        start += p * (start % 2 == 0)  # the first odd multiple
+        flags[(start - lo) // 2 :: p] = bytes(len(range(start, hi, 2 * p)))
+    out += itertools.compress(range(lo, hi, 2), flags)
+    return out
 
 
 _TRIAL_LIMIT = 10000
@@ -108,32 +120,45 @@ _trial_primes: list[int] | None = None
 def _trial_prime_table() -> list[int]:
     global _trial_primes
     if _trial_primes is None:
-        _trial_primes = _sieve(_TRIAL_LIMIT)
+        _trial_primes = _sieve(2, _TRIAL_LIMIT)
     return _trial_primes
 
 
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n, via Brent's cycle method.
+# Pollard p - 1 stage 2 takes the primes in [_TRIAL_LIMIT, _PM1_B2), sieved
+# _PM1_BLOCK at a time; rho spends _RHO_HEAD_START modular products before
+# p - 1 starts.
+_PM1_B2 = 1 << 20
+_PM1_BLOCK = 1 << 13
+_RHO_HEAD_START = 4096
+
+
+def _brent_rho(n: int) -> Generator[int, None, int]:
+    """Brent's cycle method on an odd composite n.  Yields the modular
+    products spent so far at each gcd that finds no factor, and returns a
+    nontrivial factor.
 
     The constants (y0 = 2, c = 1, 2, 3, ...) are fixed, so the factor found
     for a given n never varies between runs.
     """
-    if n % 2 == 0:
-        return 2
+    work = 0
     for c in range(1, 10000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            work += r
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
+                work += 2 * min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
+                if g == 1:
+                    yield work
             r *= 2
         if g == n:
             # backtrack one step at a time
@@ -147,10 +172,84 @@ def _brent_rho(n: int) -> int:
     raise RuntimeError(f"rho parameter schedule exhausted for {n}")
 
 
+def _pollard_pm1(n: int) -> Generator[int, None, int | None]:
+    """Pollard's p - 1 method on an odd composite n.  Yields the modular
+    products spent so far as it goes, and returns a nontrivial factor, or
+    None once a gcd is n or stage 2 ends without one.
+
+    Stage 1 raises x = 2 to every prime power below B1 = _TRIAL_LIMIT.
+    Stage 2 walks the primes s in [B1, _PM1_B2), stepping x^s to the next
+    prime by one product with x^gap, multiplies the x^s - 1 into a running
+    product, and takes its gcd with n once per sieved block.  It finds a
+    prime r of n when r - 1 is B1-smooth apart from one prime below _PM1_B2.
+    """
+    x, work, e = 2, 0, 1
+    for p in _trial_prime_table():
+        pk = p
+        while pk * p < _TRIAL_LIMIT:
+            pk *= p
+        e *= pk
+        if e.bit_length() >= 1024:
+            x = pow(x, e, n)
+            work += e.bit_length()
+            e = 1
+            yield work
+    x = pow(x, e, n)
+    g = math.gcd(x - 1, n)
+    if g != 1:
+        return g if g != n else None
+    steps: dict[int, int] = {}
+    xs, last, acc = 1, 0, 1
+    for lo in range(_TRIAL_LIMIT, _PM1_B2, _PM1_BLOCK):
+        block = _sieve(lo, min(lo + _PM1_BLOCK, _PM1_B2))
+        for s in block:
+            step = steps.get(s - last)
+            if step is None:
+                step = steps[s - last] = pow(x, s - last, n)
+            xs = xs * step % n
+            acc = acc * (xs - 1) % n
+            last = s
+        work += 2 * len(block)
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g if g != n else None
+        yield work
+    return None
+
+
+def _split(n: int) -> int:
+    """A nontrivial factor of a composite n with no prime below _TRIAL_LIMIT.
+
+    Brent's rho and Pollard p - 1 race: the one that has spent fewer modular
+    products runs to its next gcd, with rho _RHO_HEAD_START products ahead,
+    until one finds a factor.  p - 1 may drop out; rho always finishes.
+    Both are deterministic, so the factor found never varies between runs.
+    """
+    rho, pm1 = _brent_rho(n), _pollard_pm1(n)
+    rho_work = pm1_work = 0
+    while True:
+        if pm1 is None or rho_work < pm1_work + _RHO_HEAD_START:
+            try:
+                rho_work = next(rho)
+            except StopIteration as found:
+                return found.value
+        else:
+            try:
+                pm1_work = next(pm1)
+            except StopIteration as found:
+                if found.value:
+                    return found.value
+                pm1 = None
+
+
 def factor(n: int) -> list[tuple[int, int]]:
     """Full factorization of n >= 1 as an ascending [(prime, exponent)] list.
 
-    factor(1) == [].  Raises ValueError for n < 1.
+    Trial division by the primes below _TRIAL_LIMIT = 10^4 comes first.
+    Each composite cofactor left is split by a race of Brent's rho against
+    Pollard p - 1 (B1 = 10^4, B2 = 2^20; see _split), with rho given a head
+    start of _RHO_HEAD_START products, so a composite that rho splits early
+    costs no p - 1 work.  factor(1) == [].  Raises ValueError for n < 1.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -169,7 +268,7 @@ def factor(n: int) -> list[tuple[int, int]]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d = _split(m)
         stack.append(d)
         stack.append(m // d)
     return sorted(out.items())

@@ -1,13 +1,16 @@
 """Integer arithmetic substrate: primality, factoring, Zsigmondy primes."""
 
+import bisect
 import math
 import random
 
 import pytest
 
+from sl23 import arith
 from sl23.arith import (
     NotPrimePower,
     _iroot,
+    _sieve,
     factor,
     is_prime,
     order_from_bound,
@@ -91,6 +94,120 @@ def test_factor_large_semiprime():
     assert factor(n) == [(1000003, 1), (1000033, 1)]
     # the q = 9 certificate needs (9^11 - 1)/8 factored
     assert math.prod(r**e for r, e in factor((9**11 - 1) // 8)) == (9**11 - 1) // 8
+
+
+def test_sieve_segments_match_the_full_sieve():
+    flags = sieve(10**4 + 1)
+    primes = [i for i in range(10**4 + 1) if flags[i]]
+
+    def below(t):
+        return bisect.bisect_left(primes, t)
+
+    for limit in range(2, 10**4 + 1):
+        assert _sieve(2, limit) == primes[: below(limit)], limit
+    assert _sieve(0, 2) == [] and _sieve(0, 3) == [2] and _sieve(5, 4) == []
+    for lo in range(0, 150):
+        for hi in range(lo, 180):
+            assert _sieve(lo, hi) == primes[below(lo) : below(hi)], (lo, hi)
+    for lo in range(8000, 9000, 97):
+        assert _sieve(lo, lo + 1000) == primes[below(lo) : below(lo + 1000)], lo
+    # the blocks of Pollard p - 1 stage 2 tile the full sieve
+    flags = sieve(2**20)
+    lo, hi = arith._TRIAL_LIMIT, 2**20
+    step = arith._PM1_BLOCK
+    blocks = [_sieve(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    assert sum(blocks, []) == [i for i in range(lo, hi) if flags[i]]
+
+
+def phi11(q):
+    return (q**11 - 1) // (q - 1)
+
+
+def run_out(gen):
+    """Run a factoring generator to its end: (last yield, returned value)."""
+    work = 0
+    try:
+        while True:
+            work = next(gen)
+    except StopIteration as done:
+        return work, done.value
+
+
+def test_factor_pins_the_hardest_sweep_orders():
+    # the three sweep Q that rho alone takes longest on; p - 1 finds one
+    # prime r of each, r - 1 being 10^4-smooth apart from one prime < 2^20
+    assert factor(phi11(191)) == [(34179328063, 1), (1900421426047, 1)]
+    assert factor(phi11(199)) == [(11, 1), (75449464927, 1), (117942356533, 1)]
+    assert factor(phi11(233)) == [(23, 1), (4494621011, 1), (4581484617271, 1)]
+    assert factor(1900421426047 - 1) == [(2, 1), (3, 1), (11, 1), (13, 1), (5881, 1), (376627, 1)]
+    assert factor(75449464927 - 1) == [(2, 1), (3, 1), (11, 1), (1877, 1), (609043, 1)]
+    assert factor(4494621011 - 1) == [(2, 1), (5, 1), (11, 1), (43, 1), (53, 1), (17929, 1)]
+    # and p - 1 alone, in stage 2, splits off exactly that prime
+    for n, r in (
+        (34179328063 * 1900421426047, 1900421426047),
+        (75449464927 * 117942356533, 75449464927),
+        (4494621011 * 4581484617271, 4494621011),
+    ):
+        assert run_out(arith._pollard_pm1(n))[1] == r
+
+
+@pytest.fixture
+def stage_2_blocks(monkeypatch):
+    """The lower ends of the p - 1 stage 2 blocks sieved from here on."""
+    blocks = []
+
+    def counted(lo, hi):
+        if lo >= arith._TRIAL_LIMIT:
+            blocks.append(lo)
+        return _sieve(lo, hi)
+
+    monkeypatch.setattr(arith, "_sieve", counted)
+    return blocks
+
+
+def test_rho_splits_when_stage_1_takes_both_primes(stage_2_blocks):
+    # 10008 = 2^3 3^2 139 and 10036 = 2^2 13 193: stage 1's gcd is n
+    n = 10009 * 10037
+    assert run_out(arith._pollard_pm1(n))[1] is None
+    # stage 1 reaches the last prime below 10^4: 119677 - 1 = 2^2 3 9973,
+    # while 2097779 - 1 is twice a prime above 2^20
+    assert run_out(arith._pollard_pm1(119677 * 2097779))[1] == 119677
+    assert stage_2_blocks == []
+    assert factor(n) == [(10009, 1), (10037, 1)]
+    assert factor(n**2) == [(10009, 2), (10037, 2)]
+
+
+def test_rho_splits_a_semiprime_of_safe_primes(stage_2_blocks):
+    # r - 1 = 2 * (a prime above 2^20) for both: p - 1 ends stage 2 empty
+    r, s = 2097779, 2098079
+    assert all(is_prime(t) and is_prime((t - 1) // 2) for t in (r, s))
+    assert (r - 1) // 2 > 2**20 and (s - 1) // 2 > 2**20
+    assert run_out(arith._pollard_pm1(r * s))[1] is None
+    assert stage_2_blocks[-1] + arith._PM1_BLOCK >= 2**20
+    assert factor(r * s) == [(r, 1), (s, 1)]
+
+
+def test_an_early_rho_split_never_reaches_stage_2(stage_2_blocks, monkeypatch):
+    started = []
+    pm1 = arith._pollard_pm1
+
+    def counted(n):
+        started.append(n)
+        return (yield from pm1(n))
+
+    monkeypatch.setattr(arith, "_pollard_pm1", counted)
+    n = 1000003 * 1000033
+    assert run_out(arith._brent_rho(n))[0] < arith._RHO_HEAD_START
+    assert factor(n) == [(1000003, 1), (1000033, 1)]
+    assert started == [] and stage_2_blocks == []
+    # a hard composite does enter stage 2
+    assert factor(phi11(191)) == [(34179328063, 1), (1900421426047, 1)]
+    assert started and stage_2_blocks
+
+
+def test_factor_is_deterministic():
+    ns = [phi11(199), phi11(233), 10009 * 10037, 2097779 * 2098079, 2**67 - 1]
+    assert [factor(n) for n in ns] == [factor(n) for n in ns]
 
 
 def test_zsigmondy_primes():

@@ -8,7 +8,7 @@ import pytest
 
 pytest.importorskip("sympy")
 
-from sympy import Matrix, factorint  # noqa: E402
+from sympy import Matrix, factorint, primerange  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 
@@ -51,5 +51,12 @@ def test_factor_matches_factorint():
     rng = random.Random(7)
     ns = [1, 2, 2**61 - 1, 3**20 * 7, (2**31 - 1) * (2**13 - 1)]
     ns += [rng.randrange(1, 10**12) for _ in range(40)]
+    # semiprimes of two 30-bit primes
+    ns += [536870923 * 1073741789, 805306357 * 805306457, 671088667 * 939524087]
     for n in ns:
         assert factor(n) == sorted(factorint(n).items()), n
+    # the Q of SL_11(q) for prime q <= 256; sympy's own rho takes seconds on
+    # q = 191 and 199, so it falls back on p - 1 and ECM instead
+    for q in primerange(2, 257):
+        n = (q**11 - 1) // (q - 1)
+        assert factor(n) == sorted(factorint(n, use_rho=False).items()), q
