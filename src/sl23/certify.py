@@ -6,15 +6,15 @@ order: version, n, q, p, m, construction (plus words and prime_pair for a
 special pair), field, matrices, Q, Q_factors, orders, ppd (generic9 and
 generic10: the least prime r | Q modulo which q has order n - 1), charpoly,
 alphas (generic) or deltas (sl11), irreducibility, maxsub_scan (sl11),
-assumptions, seed.  irreducibility holds the "scan verdict", and the
-"meataxe verdict" only for special pairs, whose scan is the exact
-meataxe.scan_lines.  For generic tags charpoly(z) = (t - a) f with f
-irreducible, so the line E = ker(z - a) and the hyperplane W = ker f(z),
-simple non-isomorphic F_q[z]-modules, are the only proper nonzero
-z-invariant subspaces; meataxe.scan_eigenlines checks that x and y fix
-neither E nor the annihilator of W, ker(z^T - a).  For sl11 charpoly(z)
-is irreducible ("irreducibility of charpoly"), so V is simple under z
-alone and the scan verdict records that claim with no further check.
+assumptions, seed.  irreducibility rests on one argument for every tag:
+for charpoly(z) = f_1 ... f_k with distinct monic irreducibles f_i, the
+ker f_i(z) are simple, non-isomorphic F_q[z]-modules, so every
+<x, y>-invariant subspace, being z-invariant, is a sum of them.  k = 1
+(sl11, "irreducibility of charpoly") leaves nothing to check; for k = 2
+(generic tags: (t - a) f, by "charpoly identity" and "irreducibility of
+f") meataxe.scan_components checks the two candidates.  Special pairs
+take the f_i from the distinct-degree parts of charpoly(z), each a single
+irreducible, at most two ("z decomposition").  The seed is recorded only.
 One section list, _sections, feeds both sides:
 certify() takes each section from it, and verify() rebuilds each one from
 the serialized matrices and the facts a certificate states, then compares.
@@ -49,10 +49,10 @@ from .construct import (
 )
 from .ff import Field, make_field
 from .matrix import Mat, check_word, eval_word
-from .meataxe import InconclusiveAfterRetries, is_irreducible_module, scan_eigenlines, scan_lines
-from .poly import Poly, from_signed_coeffs, is_irreducible, read_degree11
+from .meataxe import scan_components
+from .poly import Poly, factor_degree_components, from_signed_coeffs, is_irreducible, read_degree11
 
-VERSION = "2"
+VERSION = "3"
 
 
 class ClaimFailed(ArithmeticError):
@@ -310,8 +310,7 @@ def _is_factorization(Q: int, fs, qn: int) -> bool:
 
 _ORDERS = {"x": "order of x", "y": "order of y", "z": "order of z"}
 _CHARPOLY = {"z": "characteristic polynomial", "expected": "expected charpoly"}
-_IRREDUCIBILITY = {"scan": "scan verdict", "meataxe": "meataxe verdict",
-                   "seed": "seed consistency"}
+_IRREDUCIBILITY = {"scan": "scan verdict", "seed": "seed consistency"}
 
 
 def _sections(pair: GenPair, seed: int):
@@ -372,8 +371,8 @@ def _sections(pair: GenPair, seed: int):
         alphas = pair.alphas
         _prove(len(alphas) == n - 1 and all(a < field.order for a in alphas)
                and alphas[-1] != 0, "alpha list")
-        f, a = from_signed_coeffs(field, alphas), field.inv(alphas[-1])
-        expected = Poly.x_minus(field, a) * f
+        f, lin = from_signed_coeffs(field, alphas), Poly.x_minus(field, field.inv(alphas[-1]))
+        expected = lin * f
     yield "charpoly", {"z": _poly_json(cp), "expected": _poly_json(expected)}, _CHARPOLY
     _prove(expected is None or expected == cp, "charpoly identity")
     if tag == "sl11":
@@ -381,23 +380,20 @@ def _sections(pair: GenPair, seed: int):
         _prove(deltas_from_min_poly(field, read_degree11(expected)) == tuple(deltas),
                "delta assignment")
         _prove(is_irreducible(cp), "irreducibility of charpoly")
+        factors = [cp]
     elif tag != "special":
         yield "alphas", [str(a) for a in alphas], "alpha list"
         _prove(is_irreducible(f), "irreducibility of f")
+        factors = [lin, f]
 
-    meataxe = {"meataxe": "irreducible"} if tag == "special" else {}
-    yield "irreducibility", {"scan": "irreducible", **meataxe,
-                             "seed": str(seed)}, _IRREDUCIBILITY
+    yield "irreducibility", {"scan": "irreducible", "seed": str(seed)}, _IRREDUCIBILITY
     if tag == "special":
-        _prove(scan_lines(x, y).irreducible, "scan verdict")
-        try:
-            irreducible = is_irreducible_module([x, y], seed=seed).irreducible
-        except InconclusiveAfterRetries:
-            irreducible = False
-        _prove(irreducible, "meataxe verdict")
-    elif tag != "sl11":  # z leaves only E = ker(z - a) and W invariant
-        _prove(scan_eigenlines(x, y, pair.z, a).irreducible, "scan verdict")
-    # sl11 needs no check: "irreducibility of charpoly" made V simple under z
+        parts = list(factor_degree_components(cp))
+        _prove(cp.is_squarefree and len(parts) <= 2
+               and all(g.degree == d for d, g in parts), "z decomposition")
+        factors = [g for _, g in parts]
+    _prove(len(factors) == 1 or scan_components(x, y, pair.z, factors[0]).irreducible,
+           "scan verdict")
     for w in pair.words:  # every element order in GL_n(q) is below q**n
         c = w.claimed_order
         _prove(0 < c < q**n and _has_order(eval_word(w.letters, x, y), c, factor(c)),

@@ -1,16 +1,15 @@
 """Irreducibility testing for the module generated by a set of matrices.
 
-Two independent checks are provided:
+Three checks are provided:
 
-* scan_lines enumerates every possible common eigenvector of an order-2 /
-  order-3 generator pair (eigenvalue pairs are limited to cube and square
-  roots of unity) and repeats the scan on the transposed pair, which
-  detects invariant hyperplanes as invariant lines of the dual module.
-  scan_eigenlines reaches the same verdict with two kernels when z = xy
-  has charpoly (t - a) f and f has no root in GF(q): then the only
-  candidates are the eigenlines ker(z - a) and ker(z^T - a).  certify
-  runs scan_lines for special pairs and scan_eigenlines for generic ones;
-  an sl11 pair needs neither, as its charpoly(z) is irreducible.
+* scan_components decides an order-2 / order-3 pair exactly when z = xy
+  has charpoly g*h with g, h distinct monic irreducibles: ker g(z) and
+  ker h(z) are then the only candidates.  certify runs it for every tag
+  whose charpoly(z) is not itself irreducible.
+* scan_lines enumerates every possible common eigenvector of the pair
+  (eigenvalue pairs are limited to cube and square roots of unity) and
+  repeats the scan on the transposed pair, which detects invariant
+  hyperplanes as invariant lines of the dual module.
 * is_irreducible_module is the MeatAxe, the classical randomized algebra
   test (Holt & Rees 1994): find an algebra element with an irreducible
   characteristic factor g whose kernel has dimension exactly deg g;
@@ -18,8 +17,9 @@ Two independent checks are provided:
   irreducibility outright.  The factors g come from
   poly.irreducible_factors; this file keeps no polynomial code of its own.
 
-Each check emits Verdicts whose reducibility witnesses are re-verified
-invariant subspaces, never raw guesses.
+scan_lines and the MeatAxe are the differential reference for
+scan_components; no certificate runs them.  Each check emits Verdicts
+whose reducibility witnesses are re-verified invariant subspaces.
 """
 
 from __future__ import annotations
@@ -146,46 +146,46 @@ def scan_lines(x: Mat, y: Mat) -> Verdict:
     return Verdict(irreducible=True)
 
 
-def scan_eigenlines(x: Mat, y: Mat, z: Mat, a: int) -> Verdict:
-    """The verdict of scan_lines for z = x*y with charpoly (t - a) f, where
-    f has no root in GF(q), as an irreducible f of degree >= 2 has none.
+def scan_components(x: Mat, y: Mat, z: Mat, g: Poly) -> Verdict:
+    """The module's verdict for z = x*y with charpoly g*h, where g and h are
+    distinct monic irreducibles.
 
-    An <x, y>-invariant line is z-invariant, so it lies in the only
-    eigenspace of z, the line ker(z - a).  The annihilator of an invariant
-    hyperplane is likewise ker(z^T - a), since (x*y)^T = y^T x^T.  So one
-    kernel and two images per side decide the scan: natural side first, as
-    in scan_lines.  With f irreducible, ker(z - a) and ker f(z) are the only
-    proper nonzero z-invariant subspaces, so the verdict is the module's.
-    ValueError if ker(z - a) is not a line.
+    V = ker g(z) + ker h(z), simple non-isomorphic F_q[z]-modules, so these
+    two are the only proper nonzero z-invariant subspaces, and an
+    <x, y>-invariant subspace is z-invariant.  ker h(z) is invariant iff its
+    annihilator ker g(z^T) = ker g(z)^T is invariant under x^T and y^T.  So
+    one g(z) and one kernel per side decide: natural side first, as in
+    scan_lines.  ValueError if ker g(z) does not have dimension deg g.
     """
     n, field = _check_gens([x, y, z])
-    for side, (xx, yy, zz) in (("natural", (x, y, z)), ("dual", (x.T, y.T, z.T))):
-        null = kernel(field, _minus(zz, a))
-        if len(null) != 1:
-            raise ValueError("ker(z - a) is not a line")
-        line = RowSpace(field, n)
-        line.add(null[0])
-        if line.contains(xx.apply(null[0])) and line.contains(yy.apply(null[0])):
-            return Verdict(irreducible=False, side=side, basis=(null[0],))
+    gz = _poly_at_matrix(g, z)
+    for side, (xx, yy, rows) in (("natural", (x, y, gz.rows)),
+                                 ("dual", (x.T, y.T, gz.T.rows))):
+        null = kernel(field, rows)
+        if len(null) != g.degree:
+            raise ValueError("ker g(z) does not have dimension deg g")
+        space = RowSpace(field, n)
+        for v in null:
+            space.add(v)
+        if all(space.contains(m.apply(v)) for v in null for m in (xx, yy)):
+            return Verdict(irreducible=False, side=side, basis=tuple(null))
     return Verdict(irreducible=True)
+
+
+def _poly_at_matrix(g: Poly, a: Mat) -> Mat:
+    """g(A) for a monic g of degree >= 1, by Horner's rule from A + g_(d-1) I,
+    so a linear g costs one diagonal shift."""
+    field, cs = a.field, g.coeffs
+    acc = Mat(field, _minus(a, field.neg(cs[-2])))
+    for c in reversed(cs[:-2]):
+        acc = Mat(field, _minus(acc * a, field.neg(c)))
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Randomized algebra test.
 
 _BUDGET = 64
-
-
-def _poly_at_matrix(g: Poly, a: Mat) -> Mat:
-    """g(A), deg g >= 1, by Horner's rule from the leading coefficient."""
-    add, cs = a.field.add, g.coeffs
-    acc = a.scale(cs[-1])
-    for i in range(len(cs) - 2, -1, -1):
-        acc = Mat(a.field, (r[:j] + (add(r[j], cs[i]),) + r[j + 1:]
-                            for j, r in enumerate(acc.rows)))
-        if i:
-            acc = acc * a
-    return acc
 
 
 def _random_algebra_element(gens: Sequence[Mat], rng: random.Random) -> Mat:

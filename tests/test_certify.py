@@ -23,9 +23,12 @@ from sl23.arith import factor, is_prime
 from sl23.certify import (
     MAX_Q_BITS,
     MAX_Q_DEGREE,
+    VERSION,
     ClaimFailed,
     VerifyResult,
+    _assumption_lines,
     _has_order,
+    _sections,
     certify,
     dumps,
     loads,
@@ -33,10 +36,11 @@ from sl23.certify import (
     q_divisibility_scan,
     verify,
 )
-from sl23.construct import OutOfRange, Witness, build_generic
+from sl23.construct import OutOfRange, Witness, build_generic, build_special
 from sl23.ff import make_field
 from sl23.matrix import Mat
-from sl23.meataxe import Verdict, scan_eigenlines, scan_lines
+from sl23.meataxe import Verdict, scan_components
+from sl23.poly import Poly
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
 
@@ -152,13 +156,13 @@ def test_byte_stable(n, q):
 # sha256 of dumps(certify(n, q, 1)).  The field layer may be rewritten,
 # but these bytes may change only together with VERSION.
 PINNED_SHA256 = {
-    (9, 9): "ebdad7f915b49bc65f9998ee439421125851a0c79afb1232b24c4169e7a0e0ae",
-    (10, 9): "4b6c84182d425022115319ed972e3d0a4f83b4ae643ca9985097c5ff0c74c732",
-    (11, 9): "f599049029b415e3f6514d9557b83a54d9519b5eba0b3b6662b871a5512e2104",
-    (9, 16): "5355900c8b734d92d8a1afdbd2f9f603f27d10764b62cea7b28dda4df2ccfe88",
-    (11, 2): "3156ae2b3779f40520ce99b4f55f7d7230879213390630b8352e6314d0406afa",
-    (10, 7): "08bbf56e619fe14c7c5a4db47194f86b69762d9a3ee18057ca7d417bacb82e20",
-    (9, 25): "ee91a649cfa0d54fc82b9f73105e0d902cb8869070284ec3a51b66609e4bff23",
+    (9, 9): "ebb9d6577fd41442c71e91a80c26a8d9a2614ce097ca0b2ab94828ba0abe98bb",
+    (10, 9): "518a0564896f2e9bb10dd95658a1ca2a6c2069e7902fdb2d0c5e95dd230599b7",
+    (11, 9): "2b36af84f2a2fa683113f848260c31f38ee3a017d0240febf659a038136ab3c9",
+    (9, 16): "d44211f3362fb4cf6dfeea8558310a0a70c364ebe5fcfabd110366b96ebec0de",
+    (11, 2): "34fa546d1b0702385f98d82122c7d1de87f41152a2265de525ab10f80c74266e",
+    (10, 7): "f4d736d8b7b21e9d5180def96e575ceab913187c010b804071e1a84f0f1d041a",
+    (9, 25): "e9374bfb9d693eaa4f69c938169f133c68b324753661dfc28a3e94cc33f811cc",
 }
 
 
@@ -311,17 +315,17 @@ def test_reducible_verdict_is_a_failed_claim(monkeypatch):
     monkeypatch.setattr("sl23.certify.build", lambda n, q: pair)
     with pytest.raises(ClaimFailed, match="scan verdict"):
         certify(10, 3)
-    irreducible = Verdict(irreducible=True)
-    monkeypatch.setattr("sl23.certify.scan_lines", lambda x, y: irreducible)
-    monkeypatch.setattr("sl23.certify.is_irreducible_module",
-                        lambda gens, seed: irreducible)
+    monkeypatch.setattr("sl23.certify.scan_components",
+                        lambda x, y, z, g: Verdict(irreducible=True))
     cert = certify(10, 3)
     monkeypatch.undo()
     assert verify(cert) == VerifyResult(False, "scan verdict")
     # a reducible verdict with its invariant-line witness fails the same way
-    line = scan_lines(raw.x, raw.y)
+    a = raw.field.inv(raw.alphas[-1])
+    line = scan_components(raw.x, raw.y, raw.z, Poly.x_minus(raw.field, a))
+    assert not line.irreducible
     cert["irreducibility"] = {
-        "scan": "reducible", "meataxe": "reducible", "seed": "0",
+        "scan": "reducible", "seed": "0",
         "witness": {"check": "scan", "side": line.side,
                     "basis": [[str(c) for c in vec] for vec in line.basis]},
     }
@@ -336,9 +340,7 @@ def test_early_exits_skip_the_module_checks(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("an irreducibility check ran")
 
-    monkeypatch.setattr("sl23.certify.scan_lines", unreachable)
-    monkeypatch.setattr("sl23.certify.scan_eigenlines", unreachable)
-    monkeypatch.setattr("sl23.certify.is_irreducible_module", unreachable)
+    monkeypatch.setattr("sl23.certify.scan_components", unreachable)
     for name in ("x", "y"):
         for i in range(9):
             for j in range(9):
@@ -354,63 +356,113 @@ def test_early_exits_skip_the_module_checks(monkeypatch):
     assert r == VerifyResult(False, "seed consistency")
 
 
+def _unreachable(monkeypatch, *names):
+    """Patch each named sl23.meataxe routine to raise if it is called."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a full irreducibility check ran")
+
+    for name in names:
+        monkeypatch.setattr(f"sl23.meataxe.{name}", unreachable)
+
+
+# The two test names below date from when the special pairs still ran the
+# MeatAxe and the full line scan; now no tag runs either, and every tag
+# proves irreducibility from the primary decomposition of z.
 @pytest.mark.parametrize("n,q,tag", [(9, 5, "generic9"), (10, 5, "generic10"),
                                      (11, 2, "sl11"), (9, 2, "special")])
 def test_only_special_pairs_run_the_meataxe(monkeypatch, n, q, tag):
-    # charpoly(z), with the eigenline check for the generic tags, proves the
-    # generic and sl11 modules irreducible; the special pairs keep the MeatAxe
+    _unreachable(monkeypatch, "is_irreducible_module")
     cert = certify(n, q)
     assert cert["construction"]["tag"] == tag
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the MeatAxe ran")
-
-    monkeypatch.setattr("sl23.certify.is_irreducible_module", unreachable)
-    if tag == "special":
-        assert list(cert["irreducibility"]) == ["scan", "meataxe", "seed"]
-        for run in (lambda: certify(n, q), lambda: verify(cert)):
-            with pytest.raises(AssertionError, match="the MeatAxe ran"):
-                run()
-    else:
-        assert list(cert["irreducibility"]) == ["scan", "seed"]
-        assert certify(n, q) == cert
-        assert verify(cert) == VerifyResult(True, None)
+    assert list(cert["irreducibility"]) == ["scan", "seed"]
+    assert certify(n, q) == cert
+    assert verify(cert) == VerifyResult(True, None)
 
 
-def _counted(monkeypatch, real):
-    """Patch sl23.certify's binding of real to record each call, then run it."""
+ACCEPTANCE_TAGS = (
+    [(9, q, "special") for q in (2, 4)] + [(10, q, "special") for q in (2, 3, 4)]
+    + [(9, q, "generic9") for q in (3, 5, 7, 8, 9, 11, 13, 16)]
+    + [(10, q, "generic10") for q in (5, 7, 8, 9, 11, 13, 16)]
+    + [(11, q, "sl11") for q in (2, 3, 4, 5, 7, 8, 9)])
+assert len(ACCEPTANCE_TAGS) == 27
+
+
+@pytest.mark.parametrize("n,q,tag", ACCEPTANCE_TAGS + [(11, 17, "sl11")])
+def test_only_special_pairs_run_the_full_line_scan(monkeypatch, n, q, tag):
+    # neither the line scan nor the MeatAxe runs for any acceptance pair;
+    # certify and verify each run scan_components once when charpoly(z) has
+    # two irreducible factors (generic tags, and the special pairs over
+    # GF(4)), and not at all when it is irreducible (sl11, other specials)
+    _unreachable(monkeypatch, "scan_lines", "is_irreducible_module")
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        return scan_components(*args)
 
-    monkeypatch.setattr(f"sl23.certify.{real.__name__}", counted)
-    return calls
-
-
-@pytest.mark.parametrize("n,q,tag", [(9, 5, "generic9"), (10, 7, "generic10"),
-                                     (11, 3, "sl11"), (11, 17, "sl11"), (10, 4, "special")])
-def test_only_special_pairs_run_the_full_line_scan(monkeypatch, n, q, tag):
-    # certify and verify each check the eigenlines of z and z^T for a
-    # generic pair, and nothing for sl11 after "irreducibility of charpoly"
-    scans = _counted(monkeypatch, scan_lines)
-    eigenlines = _counted(monkeypatch, scan_eigenlines)
+    monkeypatch.setattr("sl23.certify.scan_components", counted)
     cert = certify(n, q)
     assert cert["construction"]["tag"] == tag
+    assert list(cert["irreducibility"]) == ["scan", "seed"]
     assert verify(cert) == VerifyResult(True, None)
-    expected = {"special": (2, 0), "sl11": (0, 0)}.get(tag, (0, 2))
-    assert (len(scans), len(eigenlines)) == expected
+    two = tag.startswith("generic") or (tag == "special" and q == 4)
+    assert len(calls) == (2 if two else 0)
 
 
-@pytest.mark.parametrize("n,q", [(9, 5), (10, 7)])
+@pytest.mark.parametrize("n,q", [(9, 5), (10, 7), (10, 4)])
 def test_a_reducible_eigenline_verdict_fails_as_scan_verdict(monkeypatch, n, q):
     cert = certify(n, q)
     line = Verdict(irreducible=False, side="natural", basis=((1,) + (0,) * (n - 1),))
-    monkeypatch.setattr("sl23.certify.scan_eigenlines", lambda x, y, z, a: line)
+    monkeypatch.setattr("sl23.certify.scan_components", lambda x, y, z, g: line)
     with pytest.raises(ClaimFailed, match="scan verdict"):
         certify(n, q)
     assert verify(cert) == VerifyResult(False, "scan verdict")
+
+
+def _perm(field, n, cycles, negated=()):
+    """The monomial matrix sending e_j to +-e_p(j), p given by its cycles,
+    with sign -1 for j in negated."""
+    p = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a] = b
+    return Mat(field, [[(field.neg(1) if j in negated else 1) if p[j] == i else 0
+                        for j in range(n)] for i in range(n)])
+
+
+# With y = (0 1 2)(3 4 5)(6 7 8), these involutions x make z = x*y an
+# 8-cycle over GF(2), charpoly (t + 1)**9: not squarefree, though its one
+# distinct-degree part t + 1 is irreducible; a 9-cycle over GF(2), charpoly
+# t**9 + 1 = (t + 1)(t**2 + t + 1)(t**6 + t**3 + 1): three parts; and over
+# GF(3), with e_4 negated so that det x = 1, a signed 10-cycle with charpoly
+# t**10 + 1 = (t**2 + 1) times two quartics: a degree-4 part of degree 8.
+# Each pair has det 1, true orders and words, and a prime pair dividing
+# them, so only the decomposition of z is wrong.  The GF(2) modules fix the
+# all-ones line; the GF(3) one is irreducible (the MeatAxe says so), but the
+# two-component argument does not prove it.
+@pytest.mark.parametrize("q,x_cycles,negated,Q,fs,words,prime_pair", [
+    (2, [[0, 1], [2, 3], [4, 6]], (), 8, ((2, 3),), ((("x", "y"), 8), (("y",), 3)), (2, 3)),
+    (2, [[0, 3], [1, 6]], (), 9, ((3, 2),), ((("x", "y"), 9), (("x",), 2)), (2, 3)),
+    (3, [[0, 3], [1, 6], [2, 9]], (4,), 20, ((2, 2), (5, 1)), ((("x", "y"), 20),), (2, 5)),
+], ids=["8-cycle", "9-cycle", "signed-10-cycle"])
+def test_z_decomposition_is_a_named_claim(monkeypatch, q, x_cycles, negated, Q, fs, words,
+                                          prime_pair):
+    field, n = make_field(q, 1), 9 if q == 2 else 10
+    x, y = _perm(field, n, x_cycles, negated), _perm(field, n, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    pair = dataclasses.replace(
+        build_special(n, q), x=x, y=y, Q=Q, Q_factors=fs,
+        words=tuple(Witness(w, c) for w, c in words), coprime_claim=prime_pair)
+    assert pair.z.charpoly().is_squarefree == (Q != 8)
+    monkeypatch.setattr("sl23.certify.build", lambda n, q: pair)
+    with pytest.raises(ClaimFailed, match="z decomposition"):
+        certify(n, q)
+    cert = {}  # every section up to the failed claim, then the last two
+    with pytest.raises(ClaimFailed, match="z decomposition"):
+        for key, value, _ in _sections(pair, 0):
+            cert[key] = value
+    cert["assumptions"] = _assumption_lines("special", n, q, Q, prime_pair, None)
+    cert["seed"] = "0"
+    assert verify(json.loads(json.dumps(cert))) == VerifyResult(False, "z decomposition")
 
 
 def test_sl11_charpoly_must_be_irreducible(monkeypatch):
@@ -449,6 +501,20 @@ def test_version_1_certificates_are_refused(g95):
                  {"scan": irr["scan"], "meataxe": "irreducible", "seed": irr["seed"]})
     assert r == VerifyResult(False, "schema key order")
     assert tampered(g95, ("version",), "1") == VerifyResult(False, "version")
+
+
+def test_version_2_certificates_are_refused():
+    # VERSION "2" special certificates carried a MeatAxe verdict; any
+    # version-"2" certificate now fails at its first key
+    assert VERSION == "3"
+    for n, q in ((9, 5), (10, 4)):
+        cert = certify(n, q)
+        irr = cert["irreducibility"]
+        cert["version"] = "2"
+        assert verify(cert) == VerifyResult(False, "version")
+        cert["irreducibility"] = {"scan": irr["scan"], "meataxe": "irreducible",
+                                  "seed": irr["seed"]}
+        assert verify(cert) == VerifyResult(False, "version")
 
 
 @pytest.mark.parametrize("tag,n,q", [("generic9", 9, 3), ("generic10", 10, 5),
@@ -694,7 +760,7 @@ def test_q_past_the_size_limit_is_a_failed_claim(base):
 
 def test_field_degree_past_the_limit_is_a_failed_claim():
     # a forgery under 1 kB: building GF(2**2000) alone would take over a minute
-    forged = {"version": "2", "n": "9", "q": str(2**2000), "p": "2", "m": "2000",
+    forged = {"version": VERSION, "n": "9", "q": str(2**2000), "p": "2", "m": "2000",
               "construction": {"tag": "generic9"}}
     assert 2000 > MAX_Q_DEGREE >= 20  # the largest m the other tests build
     t0 = time.perf_counter()

@@ -11,11 +11,17 @@ from sl23.meataxe import (
     ZeroSeed,
     _poly_at_matrix,
     is_irreducible_module,
-    scan_eigenlines,
+    scan_components,
     scan_lines,
     spin,
 )
-from sl23.poly import Poly, from_signed_coeffs, is_irreducible
+from sl23.poly import (
+    Poly,
+    factor_degree_components,
+    from_signed_coeffs,
+    irreducible_factors,
+    is_irreducible,
+)
 
 
 def brute_force_reducible(gens):
@@ -52,8 +58,7 @@ def test_poly_at_matrix_matches_naive_horner(p, k):
     rng = random.Random(p**k)
     for d in range(1, n + 1):
         a = Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
-        g = Poly(field, [rng.randrange(field.order) for _ in range(d)]
-                 + [rng.randrange(1, field.order)])
+        g = Poly(field, [rng.randrange(field.order) for _ in range(d)] + [1])
         naive = Mat.zero(field, n)
         for c in reversed(g.coeffs):
             naive = naive * a + Mat.identity(field, n).scale(c)
@@ -86,14 +91,15 @@ _EXCLUDED = {(9, 2), (9, 4), (10, 2), (10, 3), (10, 4)}
                                27, 29, 31, 32, 49, 64])
 def test_scan_eigenlines_agrees_with_scan_lines(n, q):
     # every raw instantiation has charpoly(z) = (t - a) f with f irreducible,
-    # so the eigenline of z and that of z^T decide what the full scan does;
-    # the transposed pair swaps lines and hyperplanes, so its witness is dual
+    # so scan_components on g = t - a, the eigenlines of z and z^T, decides
+    # what the full scan does; the transposed pair swaps lines and
+    # hyperplanes, so its witness is dual
     pair = build_generic(n, q, unchecked=True)
     field = pair.field
     assert is_irreducible(from_signed_coeffs(field, pair.alphas))
-    a = field.inv(pair.alphas[-1])
+    g = Poly.x_minus(field, field.inv(pair.alphas[-1]))
     for x, y, side in ((pair.x, pair.y, "natural"), (pair.x.T, pair.y.T, "dual")):
-        full, fast = scan_lines(x, y), scan_eigenlines(x, y, x * y, a)
+        full, fast = scan_lines(x, y), scan_components(x, y, x * y, g)
         assert (fast.irreducible, fast.side) == (full.irreducible, full.side)
         assert fast.irreducible == ((n, q) not in _EXCLUDED)
         if not fast.irreducible:
@@ -102,13 +108,57 @@ def test_scan_eigenlines_agrees_with_scan_lines(n, q):
             assert spin(fast.basis[0], gens).dimension == 1
 
 
+@pytest.mark.parametrize("n,q", sorted(_EXCLUDED))
+def test_scan_components_decides_the_special_pairs(n, q):
+    # charpoly(z) is irreducible, or two irreducibles of distinct degrees
+    # ((9, 4): 2 and 7, (10, 4): 1 and 9); either way the module verdict is
+    # the one scan_lines and the MeatAxe reach, natural and transposed
+    pair = build_special(n, q)
+    parts = list(factor_degree_components(pair.z.charpoly()))
+    assert all(g.degree == d for d, g in parts) and len(parts) == (2 if q == 4 else 1)
+    for x, y in ((pair.x, pair.y), (pair.x.T, pair.y.T)):
+        assert scan_lines(x, y).irreducible
+        assert is_irreducible_module([x, y], seed=0).irreducible
+        if len(parts) == 2:
+            assert scan_components(x, y, x * y, parts[0][1]).irreducible
+
+
+def test_scan_components_oracle_agreement():
+    # small random pairs whose product has charpoly g*h, g and h distinct
+    # irreducibles of any degree; each of g and h must give the verdict of
+    # exhaustive spinning, with a witness that really is invariant
+    rng = random.Random(7)
+    checked = reducible = 0
+    while checked < 100:
+        field = make_field(rng.choice([2, 3]), 1)
+        n = rng.randrange(2, 5)
+        x, y = (Mat(field, [[rng.randrange(field.order) for _ in range(n)]
+                            for _ in range(n)]) for _ in range(2))
+        cp = (x * y).charpoly()
+        factors = list(irreducible_factors(cp, rng))
+        if len(factors) != 2 or factors[0] * factors[1] != cp:
+            continue
+        checked += 1
+        oracle = brute_force_reducible([x, y])
+        reducible += oracle
+        for g in factors:
+            v = scan_components(x, y, x * y, g)
+            assert v.irreducible == (not oracle), (x, y, g)
+            if not oracle:
+                continue
+            gens = [x, y] if v.side == "natural" else [x.T, y.T]
+            assert spin(v.basis[0], gens).dimension == g.degree
+    assert 0 < reducible < checked
+
+
 def test_scan_eigenlines_needs_a_simple_eigenvalue():
+    # scan_components needs ker g(z) of dimension deg g: a line for a linear
+    # g, as t - 1 (a 3-dimensional kernel) and t - 2 (none) are not here
     f5 = make_field(5, 1)
     ident = Mat.identity(f5, 3)
-    with pytest.raises(ValueError, match="is not a line"):
-        scan_eigenlines(ident, ident, ident, 1)
-    with pytest.raises(ValueError, match="is not a line"):
-        scan_eigenlines(ident, ident, ident, 2)
+    for g in (Poly.x_minus(f5, 1), Poly.x_minus(f5, 2), Poly(f5, (2, 0, 1))):
+        with pytest.raises(ValueError, match="does not have dimension deg g"):
+            scan_components(ident, ident, ident, g)
 
 
 def test_out_of_range_shapes_are_reducible():
