@@ -54,11 +54,7 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.format == "json":
-        text = dumps(certify(args.n, args.q, seed=args.seed))
-    else:
-        text = _render_pair(build(args.n, args.q))
-    _write(args.out, text)
+    _write(args.out, _render_pair(build(args.n, args.q)))
     return 0
 
 
@@ -143,16 +139,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, required=True, choices=(9, 10, 11))
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gen", help="print the generator pair")
     common(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("certify", help="build a pair and write its certificate")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_certify)
 

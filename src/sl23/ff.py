@@ -15,9 +15,9 @@ of the least primitive element, add (odd p) built digit by digit.
 Larger ones are the packed poly.Ring over their defining polynomial (an
 int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
 Each representation binds its own dot and axpy row kernels.  Defining
-polynomials come from poly.is_irreducible (Ben-Or, its gcds batched into
-one running product), after a sieve that drops, for p <= _TABLE_MAX, every
-candidate with a root in GF(p).  An Embedding tabulates nothing.
+polynomials come from poly.is_irreducible (Ben-Or, the first part of the
+distinct-degree split), after a sieve that drops, for p <= _TABLE_MAX,
+every candidate with a root in GF(p).  An Embedding tabulates nothing.
 
 Every field has one packed view, Field.packed, with pack, unpack, mul and
 sub: the Ring itself above _TABLE_MAX, plain ints under the tables or mod

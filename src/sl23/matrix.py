@@ -1,17 +1,17 @@
 """Exact dense matrices over a Field and the linear algebra the package
 needs.  One row reduction, RowSpace, feeds kernels, determinants and one
-Krylov spin, from which minimal polynomials (Neunhoeffer & Praeger 2008)
-and characteristic polynomials (Keller-Gehrig 1985) are read.  Orders in
-GL_n are orders of t in poly.Ring over GF(p) modulo the lcm of m_A's
-Frobenius conjugates (Celler & Leedham-Green 1997); a stated multiple of
-the order is proved exact on poly.survives' product tree.
+Krylov spin, from which minimal polynomials (the lcm over the unit
+vectors, Neunhoeffer & Praeger 2008) and characteristic polynomials
+(Keller-Gehrig 1985) are read.  Orders in GL_n are orders of t in
+poly.Ring over GF(p) modulo the lcm of m_A's Frobenius conjugates
+(Celler & Leedham-Green 1997); a stated multiple of the order is proved
+exact on poly.survives' product tree.
 
 Matrices are immutable: rows is a tuple of row tuples of element codes.
 """
 
 from __future__ import annotations
 
-import random
 from math import prod
 from typing import Iterable, Sequence
 
@@ -146,14 +146,12 @@ class Mat:
         return cp
 
     def minpoly(self) -> Poly:
-        """lcm of the local minimal polynomials of three dense vectors seeded
-        from n, then of the unit vectors, up to degree n (Neunhoeffer & Praeger
-        2008): each divides m_A and those of all e_i give m_A, so it is exact.
-        Each is _spin's g with W = 0."""
+        """lcm of the local minimal polynomials of e_0, e_1, ..., stopping at
+        degree n (Neunhoeffer & Praeger 2008): each divides m_A and those of
+        all e_i give m_A, so it is exact.  Each is _spin's g with W = 0."""
         f, n = self.field, self.n
-        m, rng = Poly.constant(f, 1), random.Random(n)
-        dense = [tuple(rng.randrange(f.order) for _ in range(n)) for _ in range(3)]
-        for v in dense + list(Mat.identity(f, n).rows):
+        m = Poly.constant(f, 1)
+        for v in Mat.identity(f, n).rows:
             g = self._spin(v, RowSpace(f, 2 * n + 1))
             m = m * (g // m.gcd(g))
             if m.degree == n:

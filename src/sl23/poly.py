@@ -9,10 +9,9 @@ product-tree order test survives, and the signed coefficient reading
 used by the generator constructions); factor multiplicities deliberately
 do not.
 
-The distinct-degree split, Ben-Or's test (the same rounds u -> u**Q, but
-with the factors u - t multiplied into one running product whose gcd with
-f is taken only at rounds 1, 2, 4, 8, ... and the last) and the
-Cantor-Zassenhaus equal-degree split behind irreducible_factors run in
+The distinct-degree split is the one Frobenius loop u -> u**Q: Ben-Or's
+test is its first part, and the Cantor-Zassenhaus equal-degree split
+behind irreducible_factors refines its parts.  Both run in
 residue_ring(f), one per modulus: over GF(p) the packed Ring, where a
 product or a gcd step is a few int operations, else Poly.
 Matrix orders power in Ring over GF(p) for every field, and ff.Field's
@@ -398,34 +397,18 @@ def irreducible_factors(f: Poly, rng) -> Iterator[Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's irreducibility test over the coefficient field, its gcds
-    batched.
-
-    f of degree n over GF(Q) is irreducible iff gcd(f, prod of t**(Q**i) - t
-    over 1 <= i <= d) == 1 for d = n // 2.  A reducible f has an irreducible
-    factor h of degree j <= n/2, and h | t**(Q**j) - t, so h divides the
-    product; an irreducible f is prime and divides no t**(Q**i) - t with
-    i < n, so the gcd is 1.  u = t**(Q**d) and the running product acc stay
-    in residue_ring(f), and the gcd is taken only at d = 1, 2, 4, 8, ...
-    and at the last round, so a rejection still exits early (at d = 1 for a
-    root in GF(Q)) and an irreducible f pays about log2(n) gcds, not n/2.
+    """Ben-Or's irreducibility test over the coefficient field (Ben-Or 1981):
+    f of degree n is irreducible iff factor_degree_components finds no
+    factor of degree d <= n // 2.  Its round d takes gcd(g, t**(Q**d) - t)
+    and the split stops at its first part, so a rejection exits at the least
+    degree of a factor (round 1 for a root in GF(Q)), and an irreducible f
+    pays n // 2 rounds before the split yields (n, f).
     """
     if not f.is_monic:
         raise NotMonic(f"irreducibility requires a monic polynomial, got {f!r}")
     if f.degree < 1:
         raise WrongShape("constant polynomials are neither")
-    field, last = f.field, f.degree // 2
-    ring = residue_ring(f)
-    t, F, one = map(ring.pack_poly, (Poly.x(field) % f, f, Poly.constant(field, 1)))
-    u, acc, check = t, one, 1
-    for d in range(1, last + 1):
-        u = ring.pow(u, field.order)
-        acc = ring.mul(acc, ring.sub(u, t))
-        if d == check or d == last:
-            if ring.gcd(F, acc) != one:
-                return False
-            check *= 2
-    return True
+    return next(factor_degree_components(f))[0] == f.degree
 
 
 def minimal_polynomial(w: int, e: Embedding) -> Poly:

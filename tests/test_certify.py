@@ -163,6 +163,10 @@ PINNED_SHA256 = {
     (11, 2): "34fa546d1b0702385f98d82122c7d1de87f41152a2265de525ab10f80c74266e",
     (10, 7): "f4d736d8b7b21e9d5180def96e575ceab913187c010b804071e1a84f0f1d041a",
     (9, 25): "e9374bfb9d693eaa4f69c938169f133c68b324753661dfc28a3e94cc33f811cc",
+    # untabled extension fields (q > 256), where the field is a packed Ring
+    (9, 289): "518739a1a4de20af38d1fbf01d179dd948d1fb6bd37daeb778572f4036a65492",
+    (10, 512): "639676582c6883907fe9d20d972622e17c5b56a3e00d53b67dd17d16c2928596",
+    (11, 343): "c74d7de463ea9a36d37f39abfaa67a664732260434460aa787d315f67fd60202",
 }
 
 

@@ -37,7 +37,7 @@ def test_gen_extension_field_header(capsys):
 
 
 def test_gen_json_is_a_certificate(capsys):
-    rc, out, _ = run(capsys, "gen", "--n", "10", "--q", "5", "--format", "json")
+    rc, out, _ = run(capsys, "certify", "--n", "10", "--q", "5")
     assert rc == 0
     cert = loads(out)
     assert verify(cert).ok
@@ -185,7 +185,7 @@ def test_sweep_gen_file_output(tmp_path, capsys):
     assert text.splitlines()[0] == "SL 11 2 field=(2,1,[0,1])"
 
 
-@pytest.mark.parametrize("command", ["gen", "certify", "sweep"])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     path = tmp_path / "c.json"
     where = ["--q-max", "3"] if command == "sweep" else ["--q", "3", "--out", str(path)]

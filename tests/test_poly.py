@@ -289,6 +289,14 @@ def test_batched_ben_or_checks_round_one_and_the_last_round(monkeypatch):
     rounds.clear()
     assert is_irreducible(irreducible)
     assert len(rounds) == 9 // 2
+    # a product exits at the round of its least factor degree
+    for (p, k), (a, b) in (((2, 1), (5, 11)), ((2, 2), (3, 5))):  # GF(4): Poly residues
+        field = make_field(p, k)
+        g, h = (next(f for low in itertools.product(range(field.order), repeat=d)
+                     if is_irreducible(f := Poly(field, low + (1,)))) for d in (a, b))
+        rounds.clear()
+        assert not is_irreducible(g * h)
+        assert len(rounds) == a, (p, k)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (251, 1), (2, 2), (2, 3), (3, 2)])
