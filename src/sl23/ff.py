@@ -77,7 +77,7 @@ class Field:
         self.p, self.k, self.order = p, k, p**k
         self.modulus = modulus  # little-endian, length k+1, monic
         self._inv_table = None
-        self.dot, self.axpy = self._dot, self._axpy
+        self.dot = self._dot
         if k == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
@@ -88,19 +88,22 @@ class Field:
             self.packed = SimpleNamespace(pack=int, unpack=int, mul=self.mul, sub=self.sub)
             return
         self.packed = ring = Ring(p, modulus)  # pack, unpack, mul, sub; packed 1 is 1
+        pack, unpack, fold, pad = ring.pack, ring.unpack, ring.fold, ring.pad
+        self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = int
-            self.mul = ring.mul
         else:
-            pack, unpack, fold, pad = ring.pack, ring.unpack, ring.fold, ring.pad
             self.add = lambda a, b: unpack(pack(a) + pack(b))
             self.sub = lambda a, b: unpack(pack(a) + pad - pack(b))
             self.neg = lambda a: unpack(pad - pack(a))
-            self.mul = lambda a, b: unpack(fold(pack(a) * pack(b)))
         if self.order <= _TABLE_MAX:
             self._tabulate()
             self.packed = SimpleNamespace(pack=int, unpack=int, mul=self.mul, sub=self.sub)
+        else:  # [x + c*y for x, y in zip(xs, ys)], c packed once
+            add = self.add
+            self.axpy = lambda c, xs, ys: [add(x, unpack(fold(c * pack(y)))) if y else x
+                                           for c in (pack(c),) for x, y in zip(xs, ys)]
 
     # -- representation ----------------------------------------------------
 
@@ -175,11 +178,6 @@ class Field:
         return self.pow(a, self.order - 2)
 
     # dot products and row updates carry the inner loops of all matrix code
-    def _axpy(self, c, xs, ys):
-        """[x + c*y for x, y in zip(xs, ys)]."""
-        add, mul = self.add, self.mul
-        return [add(x, mul(c, y)) if y else x for x, y in zip(xs, ys)]
-
     def _dot(self, xs, ys):
         add, mul = self.add, self.mul
         acc = 0

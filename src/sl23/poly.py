@@ -12,11 +12,11 @@ do not.
 The distinct-degree split is the one Frobenius loop u -> u**Q: Ben-Or's
 test is its first part, and the Cantor-Zassenhaus equal-degree split
 behind irreducible_factors refines its parts.  Both run in
-residue_ring(f), one per modulus: over GF(p) the packed Ring, where a
-product or a gcd step is a few int operations, else Poly.
-Matrix orders power in Ring over GF(p) for every field, and ff.Field's
-large extension fields are Rings.  This is the package's only polynomial
-code, so the Field and Embedding types are needed here for annotations only.
+residue_ring(f), one per modulus: over GF(p) the packed Ring, one Kronecker
+substitution for every p, where a product or a gcd step is a few int
+operations, else Poly.  Matrix orders power in Ring over GF(p) for every
+field, and ff.Field's large extension fields are Rings.  This is the only
+polynomial code, so the Field and Embedding types serve annotations only.
 """
 
 from __future__ import annotations
@@ -223,97 +223,99 @@ class Ring:
 
     Residues have ff.Field's codes, sum(c_i * p**i) for sum(c_i * t**i);
     pack and unpack convert, mul, pow and sub stay packed, the packed 1 is
-    the int 1, and gcd takes degree <= k.  For p = 2 a code is its own
-    GF(2)[t] bitmask.  Odd p puts c_i in bits [i*w, (i+1)*w) (Kronecker
-    substitution, von zur Gathen & Gerhard, Modern Computer Algebra, 8.4);
-    no slot exceeds V = max(k, 2) * (p - 1)**2, k(p - 1)**2 in a product
-    and p(p - 1) in a gcd step.  reduce takes all slots mod p at once
-    (Granlund & Montgomery, PLDI 1994): for 2**s > V*p, m = 2**s // p + 1
-    and v <= V, v*m / 2**s - v/p <= V / 2**s < 1/p, so floor(v*m / 2**s) =
-    floor(v/p), and w = bitlen(V*m) keeps each v*m in its slot.  fold is
-    Barrett division (ibid., 9.1): for mu = t**(2k-2) // f, x = hi*t**k + lo
-    has quotient q = (hi*mu) // t**(k-2), so x mod f = lo + q*tk mod t**k
-    for tk = t**k mod f.  Each is a few int operations for any k.
+    the int 1, and gcd takes degree <= k.  c_i sits in bits [i*w, (i+1)*w)
+    (Kronecker substitution, von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4).  For odd p no slot exceeds V = max(k, 2) * (p - 1)**2,
+    k(p - 1)**2 in a product and p(p - 1) in a gcd step, and reduce takes
+    all slots mod p at once (Granlund & Montgomery, PLDI 1994): for 2**s >
+    V*p, m = 2**s // p + 1 and v <= V, v*m / 2**s - v/p <= V / 2**s < 1/p,
+    so floor(v*m / 2**s) = floor(v/p), and w = bitlen(V*m) keeps each v*m
+    in its slot.  For p = 2, w is 4 up to k = 14, 8 up to 254 and 16 past
+    it, no slot exceeds k + 1 < 2**w, reduce keeps each slot's low bit,
+    and gcd is Euclid on the codes, which are GF(2)[t] bitmasks.  fold is
+    Barrett division (ibid., 9.1): for mu = t**(2k-2) // f, x = hi*t**k +
+    lo has quotient q = (hi*mu) // t**(k-2), so x mod f = lo + q*tk mod
+    t**k for tk = t**k mod f.  Each is a few int operations for any k.
     """
 
     __slots__ = ("p", "w", "mask", "pack", "unpack", "fold", "mul", "sub", "gcd", "pad")
 
     def __init__(self, p: int, modulus: Sequence[int]):
         self.p, k = p, len(modulus) - 1
-        if p == 2:
-            m = sum(c << i for i, c in enumerate(modulus))
+        if p == 2:  # no slot sum exceeds k + 1 < 2**w
+            w = 4 if k <= 14 else 8 if k <= 254 else 16
+        else:  # the slot bound V and Granlund-Montgomery's s and m
+            big = max(k, 2) * (p - 1) ** 2
+            s = (big * p).bit_length()
+            m = (1 << s) // p + 1
+            w = (big * m).bit_length()
+        self.w, self.mask = w, (mask := (1 << w) - 1)
+        top, low = k * w, (1 << k * w) - 1
+        ones = ((1 << 2 * top) - 1) // mask  # a 1 in each of 2k slots
+        self.pad = pad = p * (ones & low)
+        if p == 2:  # a code's binary digits, one slot each
+            text, step = "ascii" if w <= 8 else "utf-16-be", w // 4
+            reduce, digit = ones.__and__, bytes.maketrans(b"01", b"\0\1")
 
-            def mul(a, b):
-                r = 0
-                while a:
-                    if a & 1:
-                        r ^= b
-                    a >>= 1
-                    b <<= 1
-                while r.bit_length() > k:
-                    r ^= m << (r.bit_length() - 1 - k)
-                return r
+            def pack(a):  # the digits read as hex, or as bytes or UTF-16 units
+                if w == 4:
+                    return int(format(a, "b"), 16)
+                return int.from_bytes(format(a, "b").encode(text).translate(digit), "big")
 
-            def gcd(a, b):
+            def unpack(x):  # each slot's low hex digit
+                return int(format(x, "x")[::step], 2)
+
+            def gcd(a, b):  # Euclid on the codes, which are GF(2)[t] bitmasks
+                a, b = unpack(a), unpack(b)
                 while b:
                     while (n := a.bit_length() - b.bit_length()) >= 0:
                         a ^= b << n
                     a, b = b, a
+                return pack(a)
+        else:
+            qmask, shifts = ((1 << (w - s)) - 1) * ones, range(top - w, -1, -w)
+
+            def reduce(x):  # every slot mod p
+                return x - ((x * m >> s) & qmask) * p
+
+            def pack(a):
+                x = i = 0
+                while a:
+                    a, c = divmod(a, p)
+                    x |= c << i
+                    i += w
+                return x
+
+            def unpack(x):  # slots reduced mod p on the way
+                a = 0
+                for i in shifts:
+                    a = a * p + ((x >> i) & mask) % p
                 return a
 
-            self.pack = self.unpack = int
-            self.w, self.mask, self.mul, self.sub, self.gcd = 1, 1, mul, int.__xor__, gcd
-            return
-        big = max(k, 2) * (p - 1) ** 2
-        s = (big * p).bit_length()
-        m = (1 << s) // p + 1
-        self.w = w = (big * m).bit_length()
-        self.mask = mask = (1 << w) - 1
-        top, low, shifts = k * w, (1 << k * w) - 1, range(k * w - w, -1, -w)
-        ones = ((1 << 2 * top) - 1) // mask  # a 1 in each of 2k slots
-        qmask, pad = ((1 << (w - s)) - 1) * ones, p * (ones & low)
+            def gcd(a, b):  # the monic gcd
+                a, b = (b, a) if not b else (a, b)
+                while b:
+                    j = (b.bit_length() - 1) // w * w
+                    b = reduce(b * pow(b >> j, p - 2, p))
+                    while a.bit_length() > j:  # clear a's top slot with monic b
+                        i = (a.bit_length() - 1) // w * w
+                        a = reduce(a + ((p - (a >> i)) * b << i - j))
+                    a, b = b, a
+                return a
 
-        def reduce(x):  # every slot mod p
-            return x - ((x * m >> s) & qmask) * p
-
-        # mu = t**(2k-2) // f by long division; r's slots stay below kp(p - 1) < 2**w
+        # mu = t**(2k-2) // f by long division; r's slots stay below k(p - 1)**2 + 1
         f, r, mu = sum(c << i * w for i, c in enumerate(modulus)), 1 << 2 * (top - w), 0
         for i in range(top - 2 * w, -1, -w):
             c = (r >> top + i & mask) % p
-            r, mu = r + ((p - c) * f << i), mu | c << i
+            r, mu = r + (-c % p * f << i), mu | c << i
         tk, qs = reduce(pad - (f & low)), max(top - 2 * w, 0)
-
-        def pack(a):
-            x = i = 0
-            while a:
-                a, c = divmod(a, p)
-                x |= c << i
-                i += w
-            return x
-
-        def unpack(x):  # slots reduced mod p on the way
-            a = 0
-            for i in shifts:
-                a = a * p + ((x >> i) & mask) % p
-            return a
 
         def fold(x):  # a product of reduced residues -> a reduced residue
             x = reduce(x)
             q = reduce((x >> top) * mu) >> qs
             return reduce((x & low) + (q * tk & low))
 
-        def gcd(a, b):  # the monic gcd
-            a, b = (b, a) if not b else (a, b)
-            while b:
-                j = (b.bit_length() - 1) // w * w
-                b = reduce(b * pow(b >> j, p - 2, p))
-                while a.bit_length() > j:  # clear a's top slot with monic b
-                    i = (a.bit_length() - 1) // w * w
-                    a = reduce(a + ((p - (a >> i)) * b << i - j))
-                a, b = b, a
-            return a
-
-        self.pack, self.unpack, self.fold, self.gcd, self.pad = pack, unpack, fold, gcd, pad
+        self.pack, self.unpack, self.fold, self.gcd = pack, unpack, fold, gcd
         self.mul, self.sub = lambda x, y: fold(x * y), lambda x, y: reduce(x + pad - y)
 
     def pow(self, x: int, e: int) -> int:

@@ -167,6 +167,8 @@ PINNED_SHA256 = {
     (9, 289): "518739a1a4de20af38d1fbf01d179dd948d1fb6bd37daeb778572f4036a65492",
     (10, 512): "639676582c6883907fe9d20d972622e17c5b56a3e00d53b67dd17d16c2928596",
     (11, 343): "c74d7de463ea9a36d37f39abfaa67a664732260434460aa787d315f67fd60202",
+    (9, 1024): "fb4d3c933e4ba88c574a37025b16390dbd7997fecd0c3c2d39f15b2312b56363",
+    (11, 4096): "7c1f8a8849a48133ba79dd0d8ae7ce99e80b27a73d2e04dddfb1ff6fd774407c",
 }
 
 

@@ -1,6 +1,8 @@
 """Field arithmetic: axioms, Frobenius, embeddings, element orders."""
 
+import functools
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -384,6 +386,26 @@ def test_axpy_matches_scalar_arithmetic(p, k):
         ys = [sample(field, rng) for _ in range(11)] + [0]
         expected = [field.add(x, field.mul(c, y)) for x, y in zip(xs, ys)]
         assert field.axpy(c, xs, ys) == expected, (c, xs, ys)
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_char2_dot_and_axpy_match_oracle_products(k):
+    # untabled GF(2**k) on the byte-slot Ring, axpy with c packed once; a
+    # product of all-ones codes puts every raw slot sum at its largest
+    field = make_field(2, k)
+    rng, ones = random.Random(k), field.order - 1
+    rows = [[ones] * 11, [ones] * 10 + [0], [0] * 11]
+    rows += [[sample(field, rng) for _ in range(11)] for _ in range(20)]
+    pairs = [([ones] * 32, [ones] * 32)]
+    for xs, ys in pairs + list(itertools.product(rows[:6], rows[:3] + rows[6:])):
+        products = [oracle_mul(field, digits(field, x), digits(field, y)) for x, y in zip(xs, ys)]
+        assert field.dot(xs, ys) == functools.reduce(operator.xor, products), (xs, ys)
+    for xs, ys in zip(rows, rows[1:] + rows[:1]):
+        for c in (ones, 1, 0, sample(field, rng)):
+            expected = [x ^ oracle_mul(field, digits(field, c), digits(field, y))
+                        for x, y in zip(xs, ys)]
+            assert field.axpy(c, xs, ys) == expected, (c, xs, ys)
+
 
 # The defining polynomials of the slowest fields a q <= 256 sweep searches
 # for, each coded as sum(c_i * p**i) over its coefficients c_0, ..., c_k.

@@ -180,6 +180,61 @@ def test_ring_at_the_slot_bounds(p, k):
             assert ring.unpack_poly(ring.mul(u, v), field) == pu * pv % mod
 
 
+def carry_less_product(a, b):
+    """a*b in GF(2)[t] on bitmasks, one bit of a per step (the bit-serial
+    p = 2 Ring.mul that the slots replaced, without its reduction)."""
+    r = 0
+    while a:
+        if a & 1:
+            r ^= b
+        a >>= 1
+        b <<= 1
+    return r
+
+
+def carry_less_mod(r, m):
+    while r.bit_length() >= m.bit_length():
+        r ^= m << (r.bit_length() - m.bit_length())
+    return r
+
+
+def carry_less_gcd(a, b):
+    while b:
+        a, b = b, carry_less_mod(a, b)
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 14, 15, 88, 144, 253, 254, 255, 256, 704])
+def test_char2_ring_matches_the_carry_less_product(k):
+    # slots are 4 bits up to k = 14, 8 up to 254 and 16 above; 704 = 64 * 11.
+    # All-ones operands put k in a product's middle slot, and an all-ones
+    # modulus (t**k mod f all ones) fills fold's sums
+    field, rng, ones = make_field(2, 1), random.Random(k), (1 << k) - 1
+    for m in (ones << 1 | 1, 1 << k | rng.getrandbits(k), 1 << k | 1):
+        ring = Ring(2, [m >> i & 1 for i in range(k + 1)])
+        as_poly = lambda a: ring.pack_poly(Poly(field, [a >> i & 1 for i in range(k + 1)]))
+        codes = [ones, ones, 0, 1] + [rng.getrandbits(k) for _ in range(6)]
+        for a, b in zip(codes, codes[1:]):
+            x, y = ring.pack(a), ring.pack(b)
+            assert x == as_poly(a) and ring.unpack(x) == a and ring.unpack(y) == b
+            assert ring.unpack(ring.sub(x, y)) == a ^ b
+            assert ring.unpack(ring.mul(x, y)) == carry_less_mod(carry_less_product(a, b), m)
+        for a in (ones, codes[-1]):
+            x, naive = ring.pack(a), 1
+            for e in range(4):
+                assert ring.unpack(ring.pow(x, e)) == naive
+                naive = carry_less_mod(carry_less_product(naive, a), m)
+            e = rng.getrandbits(24)
+            expected = power(a, e, lambda u, v: carry_less_mod(carry_less_product(u, v), m))
+            assert ring.unpack(ring.pow(x, e)) == expected
+        pairs = [(ones, ones), (m, ones), (m, b), (0, b), (b, 0), (0, 0)]
+        for _ in range(3):  # a common factor of degree k // 3
+            c = rng.getrandbits(k // 3) | 1 << k // 3
+            pairs.append([carry_less_product(c, rng.getrandbits(k - k // 3)) for _ in range(2)])
+        for a, b in pairs:
+            assert ring.gcd(as_poly(a), as_poly(b)) == as_poly(carry_less_gcd(a, b))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 2**61 - 1])
 def test_ring_gcd_matches_poly_gcd(p):
     field = make_field(p, 1)
