@@ -125,10 +125,11 @@ def _trial_prime_table() -> list[int]:
 
 
 # Pollard p - 1 stage 2 takes the primes in [_TRIAL_LIMIT, _PM1_B2), sieved
-# _PM1_BLOCK at a time; rho spends _RHO_HEAD_START modular products before
-# p - 1 starts.
+# _PM1_BLOCK at a time, in giant steps of _PM1_WHEEL; rho spends
+# _RHO_HEAD_START modular products before p - 1 starts.
 _PM1_B2 = 1 << 20
 _PM1_BLOCK = 1 << 13
+_PM1_WHEEL = 2 * 3 * 5 * 7 * 11
 _RHO_HEAD_START = 4096
 
 
@@ -178,10 +179,12 @@ def _pollard_pm1(n: int) -> Generator[int, None, int | None]:
     None once a gcd is n or stage 2 ends without one.
 
     Stage 1 raises x = 2 to every prime power below B1 = _TRIAL_LIMIT.
-    Stage 2 walks the primes s in [B1, _PM1_B2), stepping x^s to the next
-    prime by one product with x^gap, multiplies the x^s - 1 into a running
-    product, and takes its gcd with n once per sieved block.  It finds a
-    prime r of n when r - 1 is B1-smooth apart from one prime below _PM1_B2.
+    Stage 2 writes each prime s in [B1, _PM1_B2) as jD + b, D = _PM1_WHEEL,
+    and multiplies x^(jD) - x^-b = x^-b (x^s - 1) into a running product:
+    one modular product per prime, with x^-b tabled for the odd b and
+    x^(jD) stepped by x^D (Montgomery, Math. Comp. 1987).  The unit x^-b
+    changes no gcd, taken with n once per sieved block.  It finds a prime
+    r of n when r - 1 is B1-smooth apart from one prime below _PM1_B2.
     """
     x, work, e = 2, 0, 1
     for p in _trial_prime_table():
@@ -198,18 +201,20 @@ def _pollard_pm1(n: int) -> Generator[int, None, int | None]:
     g = math.gcd(x - 1, n)
     if g != 1:
         return g if g != n else None
-    steps: dict[int, int] = {}
-    xs, last, acc = 1, 0, 1
+    D = _PM1_WHEEL
+    inv, y, xi2 = [0] * D, pow(x, -1, n), pow(x, -2, n)
+    for b in range(1, D, 2):  # inv[b] = x^-b for the odd b
+        inv[b], y = y, y * xi2 % n
+    giant, xD = _TRIAL_LIMIT // D * D, pow(x, D, n)
+    xg, acc = pow(x, giant, n), 1
+    work += D // 2
     for lo in range(_TRIAL_LIMIT, _PM1_B2, _PM1_BLOCK):
         block = _sieve(lo, min(lo + _PM1_BLOCK, _PM1_B2))
-        for s in block:
-            step = steps.get(s - last)
-            if step is None:
-                step = steps[s - last] = pow(x, s - last, n)
-            xs = xs * step % n
-            acc = acc * (xs - 1) % n
-            last = s
-        work += 2 * len(block)
+        for s in block:  # x^giant - x^-b = x^-b (x^s - 1) for s = giant + b
+            while s >= giant + D:
+                giant, xg = giant + D, xg * xD % n
+            acc = acc * (xg - inv[s - giant]) % n
+        work += len(block)
         g = math.gcd(acc, n)
         if g != 1:
             return g if g != n else None

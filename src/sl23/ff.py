@@ -9,15 +9,16 @@ whole construction reproducible: two runs (or two implementations) agree
 on every field, every embedding and every canonical element of given
 order.
 
-Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX,
-which carry the matrix work, use full tables: mul and inv from exp/log
-of the least primitive element, add (odd p) built digit by digit.
-Larger ones are the packed poly.Ring over their defining polynomial (an
-int product, a SWAR slot reduction, a Barrett fold), with Fermat inversion.
-Each representation binds its own dot and axpy row kernels.  Defining
-polynomials come from poly.is_irreducible (Ben-Or, the first part of the
-distinct-degree split), after a sieve that drops, for p <= _TABLE_MAX,
-every candidate with a root in GF(p).  An Embedding tabulates nothing.
+Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX, which
+carry the matrix work, use tables made a row per C-level pass: a mul row
+permutes the doubled exp of the least primitive element by log, an add row
+(odd p) permutes an earlier row by a digit step, and sub reads add through
+neg.  Larger ones are the packed poly.Ring (an int product, a SWAR slot
+reduction, a Barrett fold) with Fermat inversion.  Each representation binds
+its own dot and axpy row kernels.  Defining polynomials come from
+poly.is_irreducible (Ben-Or, the first part of the distinct-degree split),
+after a sieve that drops, for p <= _TABLE_MAX, every candidate with a root
+in GF(p).  An Embedding tabulates nothing.
 
 Every field has one packed view, Field.packed, with pack, unpack, mul and
 sub: the Ring itself above _TABLE_MAX, plain ints under the tables or mod
@@ -145,26 +146,25 @@ class Field:
                 break
         else:
             raise ArithmeticError(f"{self!r} mod {self.modulus} has no primitive element")
-        log = [0] * (n + 1)
-        for i, a in enumerate(exp):
-            log[a] = i
+        logs = sorted(range(n), key=exp.__getitem__)  # logs[a - 1] = log a
         exp += exp
-        logs = log[1:]
-        mul = [[0] * (n + 1)] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        row = operator.itemgetter(*logs)  # row(exp[i:])[b - 1] = exp[i] * b
+        mul = [[0] * (n + 1)] + [[0, *row(exp[i:])] for i in logs]
         self._inv_table = [0] + [exp[n - i] for i in logs]
         self.mul = lambda a, b: mul[a][b]
         if p == 2:
             self.axpy = lambda c, xs, ys: list(map(operator.xor, xs, map(mul[c].__getitem__, ys)))
             return
-        add, neg, P = [[0]], [0], 1
-        for _ in range(self.k):  # GF(p**j) to GF(p**(j+1)): a = r + P*h, P = p**j
-            add = [[s + P * ((h + hb) % p) for hb in range(p) for s in add[r]]
-                   for h in range(p) for r in range(P)]
+        add, neg, P = [list(range(n + 1))], [0], 1
+        for _ in range(self.k):  # rows a + P .. a + (p-1)P from rows a < P, P = p**j
+            step = operator.itemgetter(*(a + P if a // P % p < p - 1 else a - (p - 1) * P
+                                         for a in range(n + 1)))  # b -> b + P digitwise
+            for _ in range(p - 1):
+                add += [list(step(r)) for r in add[-P:]]
             neg = [s + P * (-h % p) for h in range(p) for s in neg]
             P *= p
-        sub = [[row[b] for b in neg] for row in add]
         self.add = lambda a, b: add[a][b]
-        self.sub = lambda a, b: sub[a][b]
+        self.sub = lambda a, b: add[a][neg[b]]
         self.neg = neg.__getitem__
         self.axpy = lambda c, xs, ys: [add[x][y] for x, y in zip(xs, map(mul[c].__getitem__, ys))]
 

@@ -232,10 +232,11 @@ class Ring:
     so floor(v*m / 2**s) = floor(v/p), and w = bitlen(V*m) keeps each v*m
     in its slot.  For p = 2, w is 4 up to k = 14, 8 up to 254 and 16 past
     it, no slot exceeds k + 1 < 2**w, reduce keeps each slot's low bit,
-    and gcd is Euclid on the codes, which are GF(2)[t] bitmasks.  fold is
-    Barrett division (ibid., 9.1): for mu = t**(2k-2) // f, x = hi*t**k +
-    lo has quotient q = (hi*mu) // t**(k-2), so x mod f = lo + q*tk mod
-    t**k for tk = t**k mod f.  Each is a few int operations for any k.
+    and gcd and the division giving mu run on the codes, which are GF(2)[t]
+    bitmasks.  fold is Barrett division (ibid., 9.1): for mu = t**(2k-2) //
+    f, x = hi*t**k + lo has quotient q = (hi*mu) // t**(k-2), so x mod f =
+    lo + q*tk mod t**k for tk = t**k mod f.  Each is a few int operations
+    for any k.
     """
 
     __slots__ = ("p", "w", "mask", "pack", "unpack", "fold", "mul", "sub", "gcd", "pad")
@@ -253,6 +254,7 @@ class Ring:
         top, low = k * w, (1 << k * w) - 1
         ones = ((1 << 2 * top) - 1) // mask  # a 1 in each of 2k slots
         self.pad = pad = p * (ones & low)
+        f = sum(c << i * w for i, c in enumerate(modulus))
         if p == 2:  # a code's binary digits, one slot each
             text, step = "ascii" if w <= 8 else "utf-16-be", w // 4
             reduce, digit = ones.__and__, bytes.maketrans(b"01", b"\0\1")
@@ -272,6 +274,12 @@ class Ring:
                         a ^= b << n
                     a, b = b, a
                 return pack(a)
+
+            # mu = t**(2k-2) // f by carry-less long division on the codes
+            r, g, mu = 1 << 2 * k - 2, unpack(f), 0
+            while (n := r.bit_length() - g.bit_length()) >= 0:
+                r, mu = r ^ g << n, mu | 1 << n
+            mu = pack(mu)
         else:
             qmask, shifts = ((1 << (w - s)) - 1) * ones, range(top - w, -1, -w)
 
@@ -303,11 +311,11 @@ class Ring:
                     a, b = b, a
                 return a
 
-        # mu = t**(2k-2) // f by long division; r's slots stay below k(p - 1)**2 + 1
-        f, r, mu = sum(c << i * w for i, c in enumerate(modulus)), 1 << 2 * (top - w), 0
-        for i in range(top - 2 * w, -1, -w):
-            c = (r >> top + i & mask) % p
-            r, mu = r + (-c % p * f << i), mu | c << i
+            # mu = t**(2k-2) // f by long division; r's slots stay below k(p - 1)**2 + 1
+            r, mu = 1 << 2 * (top - w), 0
+            for i in range(top - 2 * w, -1, -w):
+                c = (r >> top + i & mask) % p
+                r, mu = r + (-c % p * f << i), mu | c << i
         tk, qs = reduce(pad - (f & low)), max(top - 2 * w, 0)
 
         def fold(x):  # a product of reduced residues -> a reduced residue

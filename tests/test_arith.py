@@ -187,6 +187,21 @@ def test_rho_splits_a_semiprime_of_safe_primes(stage_2_blocks):
     assert factor(r * s) == [(r, 1), (s, 1)]
 
 
+# stage 2's first and last primes, s = +1 and -1 mod 2310, and the primes on
+# either side of the first _PM1_BLOCK boundary
+@pytest.mark.parametrize("s", [10007, 1048573, 11551, 11549, 18191, 18199])
+def test_stage_2_finds_a_prime_at_its_edges(s, stage_2_blocks):
+    assert is_prime(s) and arith._TRIAL_LIMIT <= s < 2**20
+    assert arith._TRIAL_LIMIT + arith._PM1_BLOCK == 18192
+    # r - 1 = 2ks with k 10^4-smooth, so r is found in the block holding s;
+    # t - 1 = 2u with u a prime above 2^20, so t never is
+    r = next(r for k in range(1, 5000) if is_prime(r := 2 * k * s + 1))
+    t = 2097779
+    assert is_prime(t) and is_prime((t - 1) // 2) and (t - 1) // 2 > 2**20
+    assert run_out(arith._pollard_pm1(r * t))[1] == r
+    assert stage_2_blocks[-1] <= s < stage_2_blocks[-1] + arith._PM1_BLOCK
+
+
 def test_an_early_rho_split_never_reaches_stage_2(stage_2_blocks, monkeypatch):
     started = []
     pm1 = arith._pollard_pm1

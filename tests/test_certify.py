@@ -169,6 +169,9 @@ PINNED_SHA256 = {
     (11, 343): "c74d7de463ea9a36d37f39abfaa67a664732260434460aa787d315f67fd60202",
     (9, 1024): "fb4d3c933e4ba88c574a37025b16390dbd7997fecd0c3c2d39f15b2312b56363",
     (11, 4096): "7c1f8a8849a48133ba79dd0d8ae7ce99e80b27a73d2e04dddfb1ff6fd774407c",
+    # the largest tabled fields, GF(2^8) and GF(3^5)
+    (9, 256): "a6e5b0806d9807eef20fbe9da3ec1e3e11689c7b66af3c2f508133bd837db078",
+    (10, 243): "ea6c9a0e0d660755a811f198ecfe745a366ffb0e4741e598a6966727459d2d1d",
 }
 
 
