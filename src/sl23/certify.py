@@ -299,11 +299,12 @@ def _is_factorization(Q: int, fs, qn: int) -> bool:
 
     r**e >= 2**(e * (bitlen(r) - 1)), so every true factor passes the
     exponent bound, and the bound keeps each power below 2**(2 * bitlen(Q))
-    before it is taken.  is_prime runs last, on primes below qn."""
+    before it is taken.  is_prime runs last, on primes below qn of at most
+    MAX_Q_BITS bits, checked before r**e."""
     bits = Q.bit_length()
     return (all(r1 < r2 for (r1, _), (r2, _) in zip(fs, fs[1:]))
             and all(1 <= e and e * max(r.bit_length() - 1, 1) <= bits for r, e in fs)
-            and all(r**e < qn for r, e in fs)
+            and all(r.bit_length() <= MAX_Q_BITS and r**e < qn for r, e in fs)
             and prod(r**e for r, e in fs) == Q
             and all(is_prime(r) for r, _ in fs))
 

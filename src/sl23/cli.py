@@ -39,12 +39,6 @@ def _render_pair(pair: GenPair) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seed(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
-    return int(text)
-
-
 def _write(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -60,7 +54,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_certify(args) -> int:
     t0 = time.time()
-    cert = certify(args.n, args.q, seed=args.seed)
+    cert = certify(args.n, args.q)
     if args.verbose:
         print(f"certified ({args.n},{args.q}) in {time.time() - t0:.2f}s",
               file=sys.stderr)
@@ -113,7 +107,7 @@ def _cmd_sweep(args) -> int:
     failures = 0
     for q in qs:
         t0 = time.time()
-        cert = certify(args.n, q, seed=args.seed)
+        cert = certify(args.n, q)
         result = verify(cert)
         tag = cert["construction"]["tag"]
         if result.ok:
@@ -147,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="build a pair and write its certificate")
     common(p)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
@@ -164,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "q <= q-max")
     p.add_argument("--n", type=int, required=True, choices=(9, 10, 11))
     p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_sweep)
     return parser

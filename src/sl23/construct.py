@@ -28,7 +28,7 @@ from .ff import Field, element_of_order, embed, make_field
 from .matrix import Mat
 from .poly import Poly, minimal_polynomial, read_degree11, signed_coeffs
 
-MAX_Q_BITS = 4096  # verify's input limit: is_prime(q) alone takes seconds at 14,000 bits
+MAX_Q_BITS = 2048  # bounds q and each stated prime: is_prime takes about 2 s at 2048 bits
 MAX_Q_DEGREE = 64  # the largest m in q = p**m: make_field(2, 2000) alone takes over a minute
 
 

@@ -11,14 +11,15 @@ order.
 
 Prime fields reduce mod p.  Extension fields of order <= _TABLE_MAX, which
 carry the matrix work, use tables made a row per C-level pass: a mul row
-permutes the doubled exp of the least primitive element by log, an add row
-(odd p) permutes an earlier row by a digit step, and sub reads add through
-neg.  Larger ones are the packed poly.Ring (an int product, a SWAR slot
-reduction, a Barrett fold) with Fermat inversion.  Each representation binds
-its own dot and axpy row kernels.  Defining polynomials come from
-poly.is_irreducible (Ben-Or, the first part of the distinct-degree split),
-after a sieve that drops, for p <= _TABLE_MAX, every candidate with a root
-in GF(p).  An Embedding tabulates nothing.
+permutes the doubled exp of element_of_order's generator (the least
+primitive element) by log, an add row (odd p) permutes an earlier row by a
+digit step, and sub reads add through neg.  Larger ones are the packed
+poly.Ring (an int product, a SWAR slot reduction, a Barrett fold) with
+Fermat inversion.  Each representation binds its own dot and axpy row
+kernels.  Defining polynomials come from poly.is_irreducible (Ben-Or, the
+first part of the distinct-degree split), after a sieve that drops, for p <=
+_TABLE_MAX, every candidate with a root in GF(p).  An Embedding tabulates
+nothing.
 
 Every field has one packed view, Field.packed, with pack, unpack, mul and
 sub: the Ring itself above _TABLE_MAX, plain ints under the tables or mod
@@ -136,15 +137,12 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def _tabulate(self):
-        p, n, ring = self.p, self.order - 1, self.packed
-        for g in map(ring.pack, range(p, n + 1)):
-            exp, x = [1], g
-            while x != 1 and len(exp) <= n:  # at most q - 1 steps
-                exp.append(ring.unpack(x))
-                x = ring.mul(x, g)
-            if len(exp) == n:  # g is primitive
-                break
-        else:
+        p, n, ring, exp = self.p, self.order - 1, self.packed, [1]
+        g = x = ring.pack(element_of_order(self, n, factor(n)))  # the least primitive element
+        while x != 1 and len(exp) <= n:  # at most q - 1 steps
+            exp.append(ring.unpack(x))
+            x = ring.mul(x, g)
+        if len(exp) != n:  # a reducible modulus: g is not primitive
             raise ArithmeticError(f"{self!r} mod {self.modulus} has no primitive element")
         logs = sorted(range(n), key=exp.__getitem__)  # logs[a - 1] = log a
         exp += exp

@@ -17,11 +17,7 @@ from typing import Iterable, Sequence
 
 from .arith import factor, order_from_bound
 from .ff import Field, make_field
-from .poly import Poly, Ring, factor_degree_components, power, survives
-
-
-class WrongShape(ValueError):
-    """Raised on malformed or incompatible matrix shapes."""
+from .poly import Poly, Ring, WrongShape, factor_degree_components, power, survives
 
 
 class Singular(ValueError):

@@ -102,15 +102,18 @@ def spin(seed: Sequence[int], gens: Sequence[Mat]) -> SpinResult:
     return SpinResult(basis=tuple(basis), dimension=space.dim)
 
 
-def _assert_invariant(basis: Sequence[Sequence[int]], gens: Sequence[Mat]) -> None:
+def _invariant(basis: Sequence[Sequence[int]], gens: Sequence[Mat]) -> bool:
+    """Whether every generator maps the span of basis into itself."""
     n, field = _check_gens(gens)
     space = RowSpace(field, n)
     for v in basis:
         space.add(v)
-    for v in basis:
-        for g in gens:
-            if not space.contains(g.apply(v)):
-                raise ArithmeticError("witness subspace is not invariant")  # unreachable
+    return all(space.contains(g.apply(v)) for v in basis for g in gens)
+
+
+def _assert_invariant(basis: Sequence[Sequence[int]], gens: Sequence[Mat]) -> None:
+    if not _invariant(basis, gens):
+        raise ArithmeticError("witness subspace is not invariant")  # unreachable
 
 
 def _minus(a: Mat, c: int) -> list:
@@ -157,17 +160,14 @@ def scan_components(x: Mat, y: Mat, z: Mat, g: Poly) -> Verdict:
     one g(z) and one kernel per side decide: natural side first, as in
     scan_lines.  ValueError if ker g(z) does not have dimension deg g.
     """
-    n, field = _check_gens([x, y, z])
+    _, field = _check_gens([x, y, z])
     gz = _poly_at_matrix(g, z)
     for side, (xx, yy, rows) in (("natural", (x, y, gz.rows)),
                                  ("dual", (x.T, y.T, gz.T.rows))):
         null = kernel(field, rows)
         if len(null) != g.degree:
             raise ValueError("ker g(z) does not have dimension deg g")
-        space = RowSpace(field, n)
-        for v in null:
-            space.add(v)
-        if all(space.contains(m.apply(v)) for v in null for m in (xx, yy)):
+        if _invariant(null, (xx, yy)):
             return Verdict(irreducible=False, side=side, basis=tuple(null))
     return Verdict(irreducible=True)
 

@@ -38,7 +38,7 @@ class DegenerateConjugates(ValueError):
 
 
 class WrongShape(ValueError):
-    """Raised when a polynomial does not have a required shape."""
+    """Raised when a polynomial or a matrix does not have a required shape."""
 
 
 class Poly:

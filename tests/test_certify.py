@@ -313,6 +313,36 @@ def test_stated_primes_are_bounded_before_they_are_tested(n, q, craft, claim):
     assert r == VerifyResult(False, claim)
 
 
+def _forged_sl11(q, Q):
+    # x = y = I over GF(q), with Q stated as its own prime factor
+    one = [[str(int(i == j)) for j in range(11)] for i in range(11)]
+    return {"version": VERSION, "n": "11", "q": str(q), "p": str(q), "m": "1",
+            "construction": {"tag": "sl11"}, "field": [str(q), "1", ["0", "1"]],
+            "matrices": {"x": one, "y": one}, "Q": str(Q), "Q_factors": [[str(Q), "1"]],
+            "orders": {"x": "2", "y": "3", "z": str(Q)}, "deltas": ["0"] * 10, "seed": "0"}
+
+
+def test_stated_prime_bound_has_both_sides(monkeypatch):
+    # 2**89 - 1 is prime and has 89 bits; the least prime above 2**89 has 90
+    above = 2**89 + 1
+    while not is_prime(above):
+        above += 2
+    monkeypatch.setattr("sl23.certify.MAX_Q_BITS", 89)
+    assert verify(_forged_sl11(8191, 2**89 - 1)) == VerifyResult(False, "order of x")
+    assert verify(_forged_sl11(8191, above)) == VerifyResult(False, "Q factorization")
+    monkeypatch.undo()
+    assert verify(_forged_sl11(8191, above)) == VerifyResult(False, "order of x")
+
+
+def test_huge_stated_prime_fails_before_it_is_tested():
+    # 11 kB: is_prime on the 9689-bit Mersenne prime alone would take minutes
+    forged = _forged_sl11(2**1279 - 1, 2**9689 - 1)
+    assert 1279 <= MAX_Q_BITS < 9689
+    t0 = time.perf_counter()
+    assert verify(forged) == VerifyResult(False, "Q factorization")
+    assert time.perf_counter() - t0 < 5  # prime_power_decompose(q) is most of it
+
+
 def test_reducible_verdict_is_a_failed_claim(monkeypatch):
     # the raw (10, 3) instantiation has an invariant line, yet x*y has order
     # 3^9 - 1 = 2 * 13 * 757: labelled special with the prime pair (13, 757)

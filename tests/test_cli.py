@@ -196,6 +196,26 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_seed_is_not_an_option(tmp_path, capsys, command, seed):
+    path = tmp_path / "c.json"
+    where = ["--q-max", "3"] if command == "sweep" else ["--q", "3", "--out", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "9", "--seed", seed] + where)
+    assert exc.value.code == 2
+    assert not path.exists()
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_help_lists_no_seed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

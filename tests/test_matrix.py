@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from sl23 import poly
 from sl23.arith import NotAnnihilated, factor
 from sl23.ff import embed, make_field
 from sl23.matrix import (
@@ -425,6 +426,10 @@ def test_pow_and_identity():
     o = m.order()
     assert (m**o).is_identity
     assert all(not (m**i).is_identity for i in range(1, min(o, 30)))
+
+
+def test_one_wrong_shape_class():
+    assert WrongShape is poly.WrongShape
 
 
 def test_wrong_shapes_rejected():
