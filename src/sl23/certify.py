@@ -9,12 +9,12 @@ alphas (generic) or deltas (sl11), irreducibility, maxsub_scan (sl11),
 assumptions, seed.  irreducibility rests on one argument for every tag:
 for charpoly(z) = f_1 ... f_k with distinct monic irreducibles f_i, the
 ker f_i(z) are simple, non-isomorphic F_q[z]-modules, so every
-<x, y>-invariant subspace, being z-invariant, is a sum of them.  k = 1
-(sl11, "irreducibility of charpoly") leaves nothing to check; for k = 2
-(generic tags: (t - a) f, by "charpoly identity" and "irreducibility of
-f") meataxe.scan_components checks the two candidates.  Special pairs
-take the f_i from the distinct-degree parts of charpoly(z), each a single
-irreducible, at most two ("z decomposition").  The seed is recorded only.
+<x, y>-invariant subspace, being z-invariant, is a sum of them.  Every
+tag reads the f_i off the distinct-degree parts of charpoly(z): at most
+two, each irreducible, of degrees summing to n ("z decomposition").
+For k = 2 (generic tags: t - a and f, by "charpoly identity"; special
+pairs over GF(4)) meataxe.scan_components checks the two candidates.
+The seed is recorded only.
 One section list, _sections, feeds both sides:
 certify() takes each section from it, and verify() rebuilds each one from
 the serialized matrices and the facts a certificate states, then compares.
@@ -47,10 +47,10 @@ from .construct import (
     deltas_from_min_poly,
     target_order,
 )
-from .ff import Field, make_field
+from .ff import Field, InvalidPrime, make_field
 from .matrix import Mat, check_word, eval_word
 from .meataxe import scan_components
-from .poly import Poly, factor_degree_components, from_signed_coeffs, is_irreducible, read_degree11
+from .poly import Poly, factor_degree_components, from_signed_coeffs, read_degree11
 
 VERSION = "3"
 
@@ -372,28 +372,22 @@ def _sections(pair: GenPair, seed: int):
         alphas = pair.alphas
         _prove(len(alphas) == n - 1 and all(a < field.order for a in alphas)
                and alphas[-1] != 0, "alpha list")
-        f, lin = from_signed_coeffs(field, alphas), Poly.x_minus(field, field.inv(alphas[-1]))
-        expected = lin * f
+        expected = Poly.x_minus(field, field.inv(alphas[-1])) * from_signed_coeffs(field, alphas)
     yield "charpoly", {"z": _poly_json(cp), "expected": _poly_json(expected)}, _CHARPOLY
     _prove(expected is None or expected == cp, "charpoly identity")
     if tag == "sl11":
         yield "deltas", [str(v) for v in deltas], "delta list"
         _prove(deltas_from_min_poly(field, read_degree11(expected)) == tuple(deltas),
                "delta assignment")
-        _prove(is_irreducible(cp), "irreducibility of charpoly")
-        factors = [cp]
     elif tag != "special":
         yield "alphas", [str(a) for a in alphas], "alpha list"
-        _prove(is_irreducible(f), "irreducibility of f")
-        factors = [lin, f]
 
     yield "irreducibility", {"scan": "irreducible", "seed": str(seed)}, _IRREDUCIBILITY
-    if tag == "special":
-        parts = list(factor_degree_components(cp))
-        _prove(cp.is_squarefree and len(parts) <= 2
-               and all(g.degree == d for d, g in parts), "z decomposition")
-        factors = [g for _, g in parts]
-    _prove(len(factors) == 1 or scan_components(x, y, pair.z, factors[0]).irreducible,
+    # parts are squarefree, so their degrees sum to cp.degree iff cp is
+    parts = list(factor_degree_components(cp))
+    _prove(len(parts) <= 2 and all(g.degree == d for d, g in parts)
+           and sum(d for d, _ in parts) == cp.degree, "z decomposition")
+    _prove(len(parts) == 1 or scan_components(x, y, pair.z, parts[0][1]).irreducible,
            "scan verdict")
     for w in pair.words:  # every element order in GL_n(q) is below q**n
         c = w.claimed_order
@@ -498,13 +492,18 @@ def _verify(cert) -> None:
     n, q = _int(cert["n"]), _int(cert["q"])
     _prove(q.bit_length() <= MAX_Q_BITS, "q size")
     p, m = _int(cert["p"]), _int(cert["m"])
-    _prove(prime_power_decompose(q) == (p, m), "prime power decomposition")
+    # p**m >= 2**((bitlen(p) - 1) * m): a true p passes, and p**m stays small
+    _prove(0 < m and (p.bit_length() - 1) * m < q.bit_length() and p**m == q,
+           "prime power decomposition")
     _prove(m <= MAX_Q_DEGREE, "q size")
     construction = cert["construction"]
     tag = construction["tag"]
     _prove(n in (9, 10, 11) and tag == coverage(n, q), "construction tag")
 
-    field = make_field(p, m)
+    try:  # the one primality test of p = q**(1/m)
+        field = make_field(p, m)
+    except InvalidPrime:
+        raise ClaimFailed("prime power decomposition") from None
     x = _parse_mat(field, cert["matrices"]["x"], n)
     y = _parse_mat(field, cert["matrices"]["y"], n)
     if tag == "special":

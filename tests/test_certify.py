@@ -40,7 +40,7 @@ from sl23.construct import OutOfRange, Witness, build_generic, build_special
 from sl23.ff import make_field
 from sl23.matrix import Mat
 from sl23.meataxe import Verdict, scan_components
-from sl23.poly import Poly
+from sl23.poly import Poly, factor_degree_components
 
 ALL_CASES = [(9, 3), (9, 2), (10, 2), (10, 5), (11, 2), (11, 3)]
 
@@ -343,6 +343,37 @@ def test_huge_stated_prime_fails_before_it_is_tested():
     assert time.perf_counter() - t0 < 5  # prime_power_decompose(q) is most of it
 
 
+def test_huge_q_is_tested_for_primality_once(monkeypatch):
+    # is_prime(q) at 1279 bits is most of this forgery's cost; make_field,
+    # uncached here as in a fresh process, runs the one test
+    q, calls = 2**1279 - 1, []
+
+    def counting(r):
+        calls.append(r)
+        return is_prime(r)
+
+    for module in ("sl23.arith", "sl23.ff", "sl23.certify"):
+        monkeypatch.setattr(f"{module}.is_prime", counting)
+    monkeypatch.setattr("sl23.certify.make_field", make_field.__wrapped__)
+    assert verify(_forged_sl11(q, 2**9689 - 1)) == VerifyResult(False, "Q factorization")
+    assert calls.count(q) == 1
+
+
+@pytest.mark.parametrize("q,p,m,claim", [
+    (15, 15, 1, "prime power decomposition"),  # a composite stated as its own p
+    (1, 1, 2, "prime power decomposition"),
+    (1, 1, MAX_Q_DEGREE + 1, "q size"),
+    # p**m alone would take seconds: only the bit lengths are compared
+    (2**2047, 10**4000 + 1, 2047, "prime power decomposition"),
+], ids=["composite-p", "unit-p", "unit-p-past-the-degree-limit", "huge-p"])
+def test_stated_prime_power_is_checked_before_p_is_tested(base, q, p, m, claim):
+    c = copy.deepcopy(base)
+    c.update(q=str(q), p=str(p), m=str(m))
+    t0 = time.perf_counter()
+    assert verify(c) == VerifyResult(False, claim)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_reducible_verdict_is_a_failed_claim(monkeypatch):
     # the raw (10, 3) instantiation has an invariant line, yet x*y has order
     # 3^9 - 1 = 2 * 13 * 757: labelled special with the prime pair (13, 757)
@@ -505,9 +536,27 @@ def test_z_decomposition_is_a_named_claim(monkeypatch, q, x_cycles, negated, Q, 
 
 
 def test_sl11_charpoly_must_be_irreducible(monkeypatch):
-    monkeypatch.setattr("sl23.certify.is_irreducible", lambda f: False)
-    with pytest.raises(ClaimFailed, match="irreducibility of charpoly"):
+    # three parts are more than the two-component argument covers
+    monkeypatch.setattr("sl23.certify.factor_degree_components",
+                        lambda f: ((d, f) for d in (1, 2, 8)))
+    with pytest.raises(ClaimFailed, match="z decomposition"):
         certify(11, 2)
+
+
+@pytest.mark.parametrize("n,q", [(9, 5), (10, 7), (11, 3), (9, 4), (10, 4)])
+def test_z_decomposition_parts_are_the_factors_of_each_tag(n, q):
+    # the parts "z decomposition" checks are t - 1/alpha_(n-1) and f for the
+    # generic tags, l for sl11, and two irreducibles for the GF(4) special pairs
+    pair = construct.build(n, q)
+    parts = list(factor_degree_components(pair.z.charpoly()))
+    if pair.tag == "sl11":
+        assert parts == [(11, pair.l)]
+    elif pair.tag == "special":
+        assert [d for d, _ in parts] == ([2, 7] if n == 9 else [1, 9])
+        assert all(g.degree == d for d, g in parts)
+    else:
+        lin = Poly.x_minus(pair.field, pair.field.inv(pair.alphas[-1]))
+        assert parts == [(1, lin), (n - 1, pair.f)]
 
 
 @pytest.fixture(scope="module")

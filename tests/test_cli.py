@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sl23
-from sl23.certify import loads, verify
+from sl23.certify import ClaimFailed, VerifyResult, loads, verify
 from sl23.cli import main
 
 
@@ -174,6 +175,38 @@ def test_sweep(capsys):
     assert len(lines) == 4
     assert all(l.startswith("q=") and " PASS " in l for l in lines[:3])
     assert lines[3] == "3/3 PASS"
+
+
+def test_sweep_reports_each_failure(monkeypatch, capsys):
+    monkeypatch.setattr("sl23.cli.verify", lambda cert: VerifyResult(False, "scan verdict"))
+    rc, out, _ = run(capsys, "sweep", "--n", "9", "--q-max", "3")
+    assert rc == 1
+    assert out.splitlines() == ["q=2 FAIL special: scan verdict",
+                                "q=3 FAIL generic9: scan verdict", "0/2 PASS"]
+
+
+def test_verbose_prints_timings(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    rc, out, err = run(capsys, "certify", "--n", "9", "--q", "3", "-v", "--out", str(path))
+    assert rc == 0 and out == ""
+    assert re.fullmatch(r"certified \(9,3\) in \d+\.\d\ds\n", err)
+    rc, out, _ = run(capsys, "sweep", "--n", "9", "--q-max", "3", "-v")
+    assert rc == 0
+    lines = out.splitlines()
+    assert all(re.fullmatch(r"q=\d PASS \w+ \(\d+\.\d\ds\)", l) for l in lines[:2])
+    assert lines[2] == "2/2 PASS"
+
+
+def test_failed_claim_in_certify_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(n, q):
+        raise ClaimFailed("order of z")
+
+    monkeypatch.setattr("sl23.cli.certify", fail)
+    path = tmp_path / "c.json"
+    rc, out, err = run(capsys, "certify", "--n", "9", "--q", "3", "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err == "error: claim failed: order of z\n"
+    assert not path.exists()
 
 
 def test_sweep_gen_file_output(tmp_path, capsys):
